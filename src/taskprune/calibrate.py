@@ -13,17 +13,19 @@ import hashlib
 import io
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .factorize import (
+    DegenerateSiteError,
     FactorizationDiverged,
     FactorizedMatrix,
     FactorizeOptions,
     Method,
-    factorize_output_aligned,
+    OutputAlignedSite,
+    factorize_output_aligned,  # noqa: F401 - perfbench/spans.py traces it under this module
     rank_for_factor,
 )
 from .linalg import Matrix, derive_rng
@@ -174,8 +176,10 @@ def _calib_fingerprint(capture: ActivationCapture) -> str:
 class AdapterCache:
     """Immutable-after-build map (site, factor-index) -> factorization.
 
-    Index 0 (level 1.0) maps to None, meaning the dense weights are kept;
-    entries whose factorization diverged are flagged and also map to None.
+    Index 0 (level 1.0) maps to None, meaning the dense weights are kept.
+    Entries that could not be factorized (a diverged descent, or a site whose
+    calibration outputs are all zero) also map to None; `flagged` maps each
+    of them to the reason.
     """
 
     config: TransformerConfig
@@ -184,7 +188,7 @@ class AdapterCache:
     calib_fingerprint: str
     options: FactorizeOptions
     entries: dict[tuple[SiteId, int], FactorizedMatrix | None]
-    flagged: frozenset[tuple[SiteId, int]] = frozenset()
+    flagged: dict[tuple[SiteId, int], str] = field(default_factory=dict)
 
     def entry(self, site: SiteId, factor_index: int) -> FactorizedMatrix | None:
         key = (site, factor_index)
@@ -212,10 +216,14 @@ def build_cache(
     opts: FactorizeOptions | None = None,
     workers: int | None = None,
 ) -> AdapterCache:
-    """Factorize every site at every level below 1.0, in parallel.
+    """Factorize every site at every level below 1.0.
 
-    Each entry gets its own seed derived from (opts.seed, site, level), so
-    the result is bit-identical regardless of worker count or scheduling.
+    One job per site, run on `workers` threads: the site's SVD and error
+    statistics are computed once (OutputAlignedSite) and shared by all its
+    levels. Each entry gets its own seed derived from (opts.seed, site,
+    level), so the result is bit-identical regardless of worker count or
+    scheduling. A diverged entry is flagged and kept dense; a site whose
+    calibration outputs are all zero has every level flagged and kept dense.
     """
     opts = opts or FactorizeOptions()
     model_fp = model_fingerprint(model)
@@ -226,42 +234,42 @@ def build_cache(
     missing = [s for s in site_list if s not in capture.entries]
     if missing:
         raise ValueError(f"capture is missing sites: {missing}")
+    levels = range(1, len(factor_set))
 
-    jobs = [(site, fi) for site in site_list for fi in range(1, len(factor_set))]
-
-    def run(job: tuple[SiteId, int]):
-        site, fi = job
-        level = factor_set[fi]
-        w = model.site_weight(site)
+    def run(site: SiteId) -> list[tuple[int, FactorizedMatrix | None, str | None]]:
         d_in, d_out = site_dims(model.config, site)
-        rank, _ = rank_for_factor(level, d_in, d_out)
-        x_cal, y_cal = capture.entries[site]
-        entry_opts = FactorizeOptions(
-            epochs=opts.epochs,
-            batch_tokens=opts.batch_tokens,
-            learning_rate=opts.learning_rate,
-            seed=_entry_seed(opts.seed, site, fi),
-        )
         try:
-            return job, factorize_output_aligned(w, x_cal, y_cal, rank, entry_opts), False
-        except FactorizationDiverged:
-            log.warning("factorization diverged for %s at level %.2f; keeping dense", site, level)
-            return job, None, True
+            fit = OutputAlignedSite(model.site_weight(site), *capture.entries[site])
+        except DegenerateSiteError as exc:
+            log.warning("%s: %s; keeping all %d levels dense", site, exc, len(levels))
+            return [(fi, None, str(exc)) for fi in levels]
+        out = []
+        for fi in levels:
+            rank, _ = rank_for_factor(factor_set[fi], d_in, d_out)
+            entry_opts = replace(opts, seed=_entry_seed(opts.seed, site, fi))
+            try:
+                out.append((fi, fit.fit(rank, entry_opts), None))
+            except FactorizationDiverged as exc:
+                log.warning("factorization diverged for %s at level %.2f; keeping dense",
+                            site, factor_set[fi])
+                out.append((fi, None, str(exc)))
+        return out
 
     entries: dict[tuple[SiteId, int], FactorizedMatrix | None] = {
         (site, 0): None for site in site_list
     }
-    flagged: set[tuple[SiteId, int]] = set()
+    flagged: dict[tuple[SiteId, int], str] = {}
     max_workers = workers or os.cpu_count() or 1
     if max_workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, jobs))
+            results = list(pool.map(run, site_list))
     else:
-        results = [run(job) for job in jobs]
-    for job, fm, failed in results:
-        entries[job] = fm
-        if failed:
-            flagged.add(job)
+        results = [run(site) for site in site_list]
+    for site, site_results in zip(site_list, results):
+        for fi, fm, reason in site_results:
+            entries[(site, fi)] = fm
+            if reason is not None:
+                flagged[(site, fi)] = reason
 
     cache = AdapterCache(
         config=model.config,
@@ -270,7 +278,7 @@ def build_cache(
         calib_fingerprint=_calib_fingerprint(capture),
         options=opts,
         entries=entries,
-        flagged=frozenset(flagged),
+        flagged=flagged,
     )
     log.info("built %d adapter entries (%d sites x %d levels)",
              cache.built_entries(), len(site_list), len(factor_set) - 1)
@@ -348,6 +356,8 @@ def cache_to_bytes(cache: AdapterCache) -> bytes:
             "factor": cache.factor_set[fi],
             "flagged": flagged,
         }
+        if flagged:
+            row["reason"] = cache.flagged[(site, fi)]
         if fm is not None:
             row.update(rank=fm.rank, method=fm.method.value,
                        calib_error=fm.calib_error, achieved_factor=fm.achieved_factor)
@@ -394,13 +404,13 @@ def load_cache(path) -> AdapterCache:
     entries: dict[tuple[SiteId, int], FactorizedMatrix | None] = {
         (site, 0): None for site in sites(config)
     }
-    flagged: set[tuple[SiteId, int]] = set()
+    flagged: dict[tuple[SiteId, int], str] = {}
     for i, row in enumerate(meta["entries"]):
         site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
         fi = int(row["factor_index"])
         if row.get("flagged"):
             entries[(site, fi)] = None
-            flagged.add((site, fi))
+            flagged[(site, fi)] = str(row.get("reason", ""))
             continue
         fm = FactorizedMatrix(
             b=tensors[f"e{i}.b"],
@@ -411,7 +421,7 @@ def load_cache(path) -> AdapterCache:
             achieved_factor=float(row["achieved_factor"]),
         )
         entries[(site, fi)] = fm
-        flagged.discard((site, fi))
+        flagged.pop((site, fi), None)
     expected = {(s, fi) for s in sites(config) for fi in range(len(factor_set))}
     if set(entries) != expected:
         raise FormatError("cache manifest does not cover every site and factor level")
@@ -422,7 +432,7 @@ def load_cache(path) -> AdapterCache:
         calib_fingerprint=str(meta["calib_fingerprint"]),
         options=opts,
         entries=entries,
-        flagged=frozenset(flagged),
+        flagged=flagged,
     )
 
 

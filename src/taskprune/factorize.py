@@ -11,6 +11,15 @@ y = b (c x). Methods differ in what they optimize:
 - output_aligned: gradient descent on both factors against the layer's
                   actual outputs, initialized from svd_w, keeping the
                   best-so-far iterate by full-data error.
+
+OutputAlignedSite runs output_aligned at any number of ranks of one weight
+and shares what does not depend on the rank: the full SVD of W and the
+statistics of the full-data error. With E = W - b c and R0 = Y - W X,
+
+    ||Y - b c X||^2 = ||R0||^2 + 2 <R0 X^T, E> + ||E L||^2,  X X^T = L L^T,
+
+so an error costs O(d_out d_in^2) instead of a pass over every token.
+Whitening by a factor of X X^T is the idea behind SVD-LLM's truncation.
 """
 
 from __future__ import annotations
@@ -21,7 +30,16 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import AdamState, Matrix, adam_step, derive_rng, frobenius_rel_error, truncated_svd
+from .linalg import (
+    AdamState,
+    Matrix,
+    SvdResult,
+    adam_step,
+    derive_rng,
+    frobenius_norm,
+    frobenius_rel_error,
+    truncated_svd,
+)
 
 UNPRUNED = None
 _RANK_EPS = 1e-9          # floor guard so achieved factors round-trip exactly
@@ -37,6 +55,10 @@ class Method(str, Enum):
 
 class RankDeficiencyError(ValueError):
     """Calibration inputs have fewer nonzero principal directions than the rank asks for."""
+
+
+class DegenerateSiteError(ValueError):
+    """Calibration outputs have zero norm, so no relative error is defined."""
 
 
 class FactorizationDiverged(RuntimeError):
@@ -78,10 +100,6 @@ class FactorizedMatrix:
     def d_in(self) -> int:
         return self.c.shape[1]
 
-    def apply(self, x: Matrix) -> Matrix:
-        """y = b (c x) with tokens as columns."""
-        return self.b @ (self.c @ x)
-
 
 def achieved_factor(rank: int, d_in: int, d_out: int) -> float:
     return rank * (d_in + d_out) / (d_in * d_out)
@@ -111,14 +129,17 @@ def pair_error(b: Matrix, c: Matrix, x_cal: Matrix, y_cal: Matrix) -> float:
     return frobenius_rel_error(y_cal, b @ (c @ x_cal))
 
 
+def _svd_factors(svd: SvdResult) -> tuple[Matrix, Matrix]:
+    """b = U sqrt(S), c = sqrt(S) Vt."""
+    root = np.sqrt(svd.sigma)
+    return svd.u * root, root[:, None] * svd.vt
+
+
 def factorize_svd_w(
     w: Matrix, rank: int, x_cal: Matrix | None = None, y_cal: Matrix | None = None
 ) -> FactorizedMatrix:
     """Weight-space truncated SVD: b = U sqrt(S), c = sqrt(S) Vt."""
-    svd = truncated_svd(w, rank)
-    root = np.sqrt(svd.sigma)
-    b = svd.u * root
-    c = root[:, None] * svd.vt
+    b, c = _svd_factors(truncated_svd(w, rank))
     if x_cal is not None:
         if y_cal is None:
             y_cal = w @ x_cal
@@ -191,6 +212,96 @@ def reconstruction_gradients(
     return grad_b, grad_c
 
 
+class OutputAlignedSite:
+    """Output-aligned factorization of one weight, at any number of ranks.
+
+    Construction does the rank-independent work once: the full SVD of W,
+    sliced per rank for the svd_w initialization, and the statistics of the
+    full-data error (see the module docstring). Raises DegenerateSiteError
+    when the calibration outputs have zero norm.
+    """
+
+    def __init__(self, w: Matrix, x_cal: Matrix, y_cal: Matrix):
+        if x_cal.shape[1] != y_cal.shape[1]:
+            raise ValueError("x_cal and y_cal must have the same number of columns")
+        d_out, d_in = w.shape
+        if x_cal.shape[0] != d_in or y_cal.shape[0] != d_out:
+            raise ValueError("calibration pair does not match the weight shape")
+        self.w, self.x_cal, self.y_cal = w, x_cal, y_cal
+        self.y_norm = frobenius_norm(y_cal)
+        if self.y_norm == 0.0:
+            raise DegenerateSiteError("calibration outputs have zero norm")
+        self.svd = truncated_svd(w, min(w.shape))
+        r0 = y_cal - w @ x_cal
+        self.r0_sq = float(np.sum(r0 * r0))
+        self.r0_xt = r0 @ x_cal.T
+        # X X^T is singular for layer-norm-fed sites, which rules out
+        # Cholesky; rounding can leave its zero eigenvalues slightly negative
+        eigval, eigvec = np.linalg.eigh(x_cal @ x_cal.T)
+        self.l = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+
+    def error(self, b: Matrix, c: Matrix) -> float:
+        """pair_error(b, c, x_cal, y_cal) from the per-site statistics."""
+        e = self.w - b @ c
+        el = e @ self.l
+        sq = self.r0_sq + 2.0 * float(np.sum(self.r0_xt * e)) + float(np.sum(el * el))
+        return math.sqrt(max(sq, 0.0)) / self.y_norm
+
+    def fit(
+        self, rank: int, opts: FactorizeOptions | None = None,
+        _trace: list[float] | None = None,
+    ) -> FactorizedMatrix:
+        """Learn (b, c) of one rank by Adam on the output reconstruction error.
+
+        Starts from the svd_w factors, runs `opts.epochs` passes over
+        shuffled token batches of `opts.batch_tokens` columns, and keeps the
+        iterate with the lowest full-data error, evaluated from the per-site
+        statistics after every batch. The returned calib_error is measured
+        directly on the chosen iterate. No early stopping; a non-finite loss
+        raises FactorizationDiverged carrying the best finite iterate.
+        """
+        opts = opts or FactorizeOptions()
+        if not 1 <= rank <= self.svd.sigma.size:
+            raise ValueError(f"rank {rank} out of range [1, {self.svd.sigma.size}]")
+        b, c = _svd_factors(self.svd.top(rank))
+        best_err = self.error(b, c)
+        best = (b.copy(), c.copy())
+
+        state_b = AdamState(lr=opts.learning_rate)
+        state_c = AdamState(lr=opts.learning_rate)
+        rng = derive_rng(opts.seed)
+        x_cal, y_cal = self.x_cal, self.y_cal
+        n_tokens = x_cal.shape[1]
+
+        # a non-finite loss is an explicitly handled signal, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(opts.epochs):
+                perm = rng.permutation(n_tokens)
+                for start in range(0, n_tokens, opts.batch_tokens):
+                    idx = perm[start:start + opts.batch_tokens]
+                    grad_b, grad_c = reconstruction_gradients(b, c, x_cal[:, idx], y_cal[:, idx])
+                    adam_step(b, grad_b, state_b)
+                    adam_step(c, grad_c, state_c)
+                    err = (self.error(b, c)
+                           if np.all(np.isfinite(b)) and np.all(np.isfinite(c))
+                           else float("nan"))
+                    if not math.isfinite(err):
+                        raise FactorizationDiverged(self._result(*best, rank))
+                    if err < best_err:
+                        best_err = err
+                        best = (b.copy(), c.copy())
+                    if _trace is not None:
+                        _trace.append(best_err)
+
+        return self._result(*best, rank)
+
+    def _result(self, b: Matrix, c: Matrix, rank: int) -> FactorizedMatrix:
+        d_out, d_in = self.w.shape
+        return FactorizedMatrix(b, c, rank, Method.OUTPUT_ALIGNED_GD,
+                                pair_error(b, c, self.x_cal, self.y_cal),
+                                achieved_factor(rank, d_in, d_out))
+
+
 def factorize_output_aligned(
     w: Matrix,
     x_cal: Matrix,
@@ -199,51 +310,5 @@ def factorize_output_aligned(
     opts: FactorizeOptions | None = None,
     _trace: list[float] | None = None,
 ) -> FactorizedMatrix:
-    """Learn (b, c) by Adam on the output reconstruction error.
-
-    Starts from the svd_w factors, runs `opts.epochs` passes over shuffled
-    token batches of `opts.batch_tokens` columns, re-measures the full-data
-    error after every batch and keeps the best iterate seen. No early
-    stopping; a non-finite loss raises FactorizationDiverged carrying the
-    best finite iterate.
-    """
-    opts = opts or FactorizeOptions()
-    if x_cal.shape[1] != y_cal.shape[1]:
-        raise ValueError("x_cal and y_cal must have the same number of columns")
-    d_out, d_in = w.shape
-    if x_cal.shape[0] != d_in or y_cal.shape[0] != d_out:
-        raise ValueError("calibration pair does not match the weight shape")
-
-    init = factorize_svd_w(w, rank, x_cal, y_cal)
-    b, c = init.b.copy(), init.c.copy()
-    best_err = init.calib_error
-    best = (b.copy(), c.copy())
-
-    state_b = AdamState(lr=opts.learning_rate)
-    state_c = AdamState(lr=opts.learning_rate)
-    rng = derive_rng(opts.seed)
-    n_tokens = x_cal.shape[1]
-    af = achieved_factor(rank, d_in, d_out)
-
-    # a non-finite loss is an explicitly handled signal, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(opts.epochs):
-            perm = rng.permutation(n_tokens)
-            for start in range(0, n_tokens, opts.batch_tokens):
-                idx = perm[start:start + opts.batch_tokens]
-                grad_b, grad_c = reconstruction_gradients(b, c, x_cal[:, idx], y_cal[:, idx])
-                adam_step(b, grad_b, state_b)
-                adam_step(c, grad_c, state_c)
-                err = (pair_error(b, c, x_cal, y_cal)
-                       if np.all(np.isfinite(b)) and np.all(np.isfinite(c))
-                       else float("nan"))
-                if not math.isfinite(err):
-                    raise FactorizationDiverged(FactorizedMatrix(
-                        best[0], best[1], rank, Method.OUTPUT_ALIGNED_GD, best_err, af))
-                if err < best_err:
-                    best_err = err
-                    best = (b.copy(), c.copy())
-                if _trace is not None:
-                    _trace.append(best_err)
-
-    return FactorizedMatrix(best[0], best[1], rank, Method.OUTPUT_ALIGNED_GD, best_err, af)
+    """Output-aligned factorization at one rank; see OutputAlignedSite.fit."""
+    return OutputAlignedSite(w, x_cal, y_cal).fit(rank, opts, _trace)

@@ -77,6 +77,10 @@ class SvdResult:
     def reconstruct(self) -> Matrix:
         return (self.u * self.sigma) @ self.vt
 
+    def top(self, r: int) -> "SvdResult":
+        """The leading r triplets, copied out of this decomposition."""
+        return SvdResult(self.u[:, :r].copy(), self.sigma[:r].copy(), self.vt[:r, :].copy())
+
 
 def _jacobi_onesided(a: Matrix) -> tuple[Matrix, np.ndarray, Matrix]:
     """Full SVD of a tall-or-square matrix by Hestenes one-sided Jacobi.
@@ -163,7 +167,7 @@ def truncated_svd(m: Matrix, r: int) -> SvdResult:
         u = v2
         vt = np.ascontiguousarray(u2.T)
     _fix_signs(u, vt)
-    return SvdResult(u[:, :r].copy(), sigma[:r].copy(), vt[:r, :].copy())
+    return SvdResult(u, sigma, vt).top(r)
 
 
 @dataclass

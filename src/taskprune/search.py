@@ -19,6 +19,7 @@ import concurrent.futures
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -370,7 +371,10 @@ def ga_search(
 
     Evaluation is memoized on the gene tuple, which also makes the run
     resumable: with `resume=True` an existing history file at `history_path`
-    pre-seeds the memo so previously scored vectors are not re-decoded.
+    pre-seeds the memo so previously scored vectors are not re-decoded. A
+    resumed run streams its records to `<history_path>.partial` and moves
+    that file over the history only when it finishes, so an interrupted
+    resume leaves the earlier history as it was.
     """
     cfg = cfg or GaConfig()
     factor_set = cache.factor_set
@@ -384,6 +388,7 @@ def ga_search(
     a0 = threshold_accuracy(a_star, task.epsilon)
 
     memo: dict[tuple[int, ...], tuple[float, float, float]] = {}
+    stream_path = history_path
     if resume and history_path is not None:
         try:
             for rec in read_history(history_path):
@@ -391,8 +396,9 @@ def ga_search(
             log.info("resumed %d memoized evaluations from %s", len(memo), history_path)
         except FileNotFoundError:
             pass
+        stream_path = os.fspath(history_path) + ".partial"
 
-    stream = open(history_path, "w", encoding="utf-8") if history_path is not None else None
+    stream = open(stream_path, "w", encoding="utf-8") if stream_path is not None else None
 
     def score(chrom: Chromosome) -> None:
         a, c, f = memo[chrom.genes]
@@ -513,6 +519,8 @@ def ga_search(
     finally:
         if stream is not None:
             stream.close()
+    if stream_path != history_path:
+        os.replace(stream_path, history_path)
 
     feasible = best_feasible is not None
     winner = best_feasible if feasible else best

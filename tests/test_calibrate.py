@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import io
+import logging
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from taskprune.calibrate import (
     assemble,
     build_cache,
     cache_to_bytes,
+    _entry_seed,
     capture_calibration,
     compression_ratio,
     load_cache,
@@ -21,9 +27,15 @@ from taskprune.calibrate import (
     save_cache,
     save_capture,
 )
-from taskprune.factorize import FactorizeOptions, rank_for_factor
+from taskprune import factorize
+from taskprune.factorize import FactorizeOptions, factorize_output_aligned, rank_for_factor
 from taskprune.linalg import derive_rng
-from taskprune.model import SiteId, SiteKind, forward, site_dims, sites
+from taskprune.model import CACHE_VERSION, SiteId, SiteKind, forward, read_container, site_dims, sites
+
+
+def manifest_rows(cache) -> list[dict]:
+    _, meta, _ = read_container(io.BytesIO(cache_to_bytes(cache)), expected_version=CACHE_VERSION)
+    return meta["entries"]
 
 
 class TestFactorSet:
@@ -147,6 +159,58 @@ class TestBuildCache:
         logits, _ = forward(pruned, [1, 2, 3])
         base, _ = forward(tiny_model, [1, 2, 3])
         assert np.array_equal(logits, base)
+
+
+    def test_equals_per_entry_factorizations(self, tiny_model, tiny_capture):
+        opts = FactorizeOptions(epochs=2, batch_tokens=500, learning_rate=0.003, seed=5)
+        fset = FactorSet((1.0, 0.75, 0.25, 0.05))
+        cache = build_cache(tiny_model, tiny_capture, fset, opts, workers=1)
+        for site in sites(tiny_model.config):
+            w = tiny_model.site_weight(site)
+            x, y = tiny_capture.entries[site]
+            d_in, d_out = site_dims(tiny_model.config, site)
+            for fi in range(1, len(fset)):
+                rank, _ = rank_for_factor(fset[fi], d_in, d_out)
+                entry_opts = dataclasses.replace(opts, seed=_entry_seed(opts.seed, site, fi))
+                alone = factorize_output_aligned(w, x, y, rank, entry_opts)
+                built = cache.entry(site, fi)
+                assert np.array_equal(built.b, alone.b)
+                assert np.array_equal(built.c, alone.c)
+                assert built.calib_error == alone.calib_error
+
+    def test_one_svd_per_site(self, tiny_model, tiny_capture, monkeypatch):
+        calls = []
+        real = factorize.truncated_svd
+
+        def counting(m, r):
+            calls.append(m.shape)
+            return real(m, r)
+
+        monkeypatch.setattr(factorize, "truncated_svd", counting)
+        opts = FactorizeOptions(epochs=1, batch_tokens=2500, seed=0)
+        cache = build_cache(tiny_model, tiny_capture, DEFAULT_FACTOR_SET, opts, workers=1)
+        assert cache.built_entries() == 72
+        assert len(calls) == len(sites(tiny_model.config))
+
+    def test_zero_norm_site_flagged_and_kept_dense(self, tiny_model, tiny_corpus, caplog):
+        model = copy.deepcopy(tiny_model)
+        model.layers[0].w_out = np.zeros_like(model.layers[0].w_out)
+        capture = capture_calibration(model, tiny_corpus, min_tokens=640)
+        dead = SiteId(0, SiteKind.OUT)
+        fset = FactorSet((1.0, 0.5, 0.1))
+        with caplog.at_level(logging.WARNING, logger="taskprune.calibrate"):
+            cache = build_cache(model, capture, fset,
+                                FactorizeOptions(epochs=1, batch_tokens=320), workers=1)
+        assert cache.flagged == {(dead, 1): "calibration outputs have zero norm",
+                                 (dead, 2): "calibration outputs have zero norm"}
+        assert any("zero norm" in rec.message for rec in caplog.records)
+        assert cache.entry(dead, 1) is None and cache.entry(dead, 2) is None
+        n_sites = len(sites(model.config))
+        assert cache.built_entries() - len(cache.flagged) == 2 * (n_sites - 1)
+        pruned = assemble(model, PruningVector.uniform(fset, n_sites, 2), cache)
+        assert dead not in pruned.adapters and len(pruned.adapters) == n_sites - 1
+        for row in manifest_rows(cache):
+            assert ("reason" in row) == row["flagged"]
 
 
 class TestAssemble:
@@ -275,7 +339,12 @@ class TestCachePersistence:
         save_cache(cache, path)
         loaded = load_cache(path)
         assert loaded.flagged == cache.flagged
+        assert set(loaded.flagged.values()) == {"factorization diverged to a non-finite loss"}
         assert loaded.fingerprint() == cache.fingerprint()
+
+    def test_unflagged_rows_carry_no_reason(self, tiny_cache):
+        assert not tiny_cache.flagged
+        assert all("reason" not in row for row in manifest_rows(tiny_cache))
 
     def test_wrong_kind_rejected(self, tiny_model, tmp_path):
         path = tmp_path / "model.siev"

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from taskprune.factorize import (
     UNPRUNED,
+    DegenerateSiteError,
     FactorizationDiverged,
     FactorizeOptions,
     Method,
+    OutputAlignedSite,
     RankDeficiencyError,
     achieved_factor,
     factorize_output_aligned,
@@ -23,6 +25,7 @@ from taskprune.factorize import (
     reconstruction_gradients,
 )
 from taskprune.linalg import derive_rng, frobenius_rel_error
+from taskprune.model import SiteId, SiteKind
 
 LEVELS = (1.0, 0.9, 0.75, 0.6, 0.5, 0.35, 0.25, 0.2, 0.1, 0.05)
 
@@ -246,6 +249,62 @@ class TestOutputAlignedGd:
         with pytest.raises(ValueError):
             factorize_output_aligned(w, rng.normal(size=(5, 10)),
                                      rng.normal(size=(6, 10)), 2)
+
+
+class TestOutputAlignedSite:
+    @staticmethod
+    def assert_statistic_matches(w, x, y, rank, seed):
+        site = OutputAlignedSite(w, x, y)
+        rng = derive_rng(seed)
+        init = factorize_svd_w(w, rank, x, y)
+        pairs = [(init.b, init.c)]
+        for scale in (1e-3, 1e-1, 1.0):
+            pairs.append((init.b + scale * rng.normal(size=init.b.shape),
+                          init.c + scale * rng.normal(size=init.c.shape)))
+        for b, c in pairs:
+            direct = pair_error(b, c, x, y)
+            assert site.error(b, c) == pytest.approx(direct, rel=1e-10)
+
+    def test_statistic_matches_pair_error_on_exact_outputs(self):
+        for seed in range(5):
+            w, x, y = misaligned_instance(seed + 400)
+            self.assert_statistic_matches(w, x, y, 4, seed)
+
+    def test_statistic_matches_pair_error_with_output_noise(self):
+        for seed in range(5):
+            w, x, _ = misaligned_instance(seed + 410)
+            y = w @ x + 0.3 * derive_rng(seed + 420).normal(size=(w.shape[0], x.shape[1]))
+            self.assert_statistic_matches(w, x, y, 4, seed)
+
+    def test_statistic_matches_pair_error_on_singular_gram(self, tiny_model, tiny_capture):
+        site = SiteId(0, SiteKind.QKV)     # fed by a layer norm: X X^T is singular
+        w = tiny_model.site_weight(site)
+        x, y = tiny_capture.entries[site]
+        eig = np.linalg.eigvalsh(x @ x.T)
+        assert eig[0] <= 1e-10 * eig[-1]
+        self.assert_statistic_matches(w, x, y, 5, 0)
+
+    def test_fit_matches_factorize_output_aligned_at_every_rank(self):
+        w, x, y = misaligned_instance(430)
+        site = OutputAlignedSite(w, x, y)
+        opts = FactorizeOptions(epochs=10, batch_tokens=32, seed=4)
+        for rank in (1, 4, 9):
+            a = site.fit(rank, opts)
+            b = factorize_output_aligned(w, x, y, rank, opts)
+            assert np.array_equal(a.b, b.b) and np.array_equal(a.c, b.c)
+            assert a.calib_error == b.calib_error == pair_error(a.b, a.c, x, y)
+
+    def test_zero_norm_outputs_rejected(self):
+        w, x, _ = misaligned_instance(431)
+        with pytest.raises(DegenerateSiteError, match="zero norm"):
+            OutputAlignedSite(w, x, np.zeros((w.shape[0], x.shape[1])))
+
+    def test_rank_out_of_range_rejected(self):
+        w, x, y = misaligned_instance(432)
+        site = OutputAlignedSite(w, x, y)
+        for rank in (0, 17):
+            with pytest.raises(ValueError):
+                site.fit(rank)
 
 
 class TestGradients:

@@ -301,6 +301,41 @@ class TestGaSearch:
         assert second.best.fitness >= first.best.fitness - 1e-12
 
 
+    def test_interrupted_resume_keeps_earlier_history(self, tiny_model, tiny_cache, tiny_task,
+                                                      tmp_path):
+        cfg = GaConfig(population=12, seed=11, stall_generations=2, max_generations=3)
+        path = tmp_path / "hist.jsonl"
+        ga_search(tiny_model, tiny_cache, tiny_task, cfg, history_path=path)
+        before = path.read_bytes()
+        real = make_eval_fn(tiny_model, tiny_cache, tiny_task)
+        calls = []
+
+        def interrupted(vector):
+            calls.append(vector)
+            if len(calls) > 3:
+                raise KeyboardInterrupt
+            return real(vector)
+
+        resumed = GaConfig(population=12, seed=12, stall_generations=2, max_generations=3)
+        with pytest.raises(KeyboardInterrupt):
+            ga_search(tiny_model, tiny_cache, tiny_task, resumed, eval_fn=interrupted,
+                      history_path=path, resume=True)
+        assert len(calls) > 3
+        assert path.read_bytes() == before
+
+    def test_completed_resume_rewrites_identical_history(self, tiny_model, tiny_cache, tiny_task,
+                                                         tmp_path):
+        cfg = GaConfig(population=12, seed=13, stall_generations=2, max_generations=3)
+        path = tmp_path / "hist.jsonl"
+        first = ga_search(tiny_model, tiny_cache, tiny_task, cfg, history_path=path)
+        before = path.read_bytes()
+        second = ga_search(tiny_model, tiny_cache, tiny_task, cfg, history_path=path,
+                           resume=True)
+        assert second.history == first.history
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.jsonl"]
+
+
 class TestBottleneckAnalysis:
     def test_constructed_fixture(self):
         rng = derive_rng(74)
