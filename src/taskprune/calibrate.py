@@ -38,7 +38,8 @@ from .model import (
     SiteId,
     SiteKind,
     TransformerConfig,
-    forward,
+    _transformer,
+    forward,  # noqa: F401 - perfbench/spans.py traces it under this module
     model_fingerprint,
     read_container,
     site_dims,
@@ -143,22 +144,24 @@ def capture_calibration(
     tokens = tokens[:min_tokens]
     corpus_fp = hashlib.sha256(bytes(tokens)).hexdigest()
 
+    # all full-length chunks run as one batch, the trailing partial chunk
+    # (if any) as a second one; columns stay in corpus order
     tap_set = frozenset(sites(model.config))
-    chunks: dict[SiteId, list[tuple[Matrix, Matrix]]] = {s: [] for s in tap_set}
     step = model.config.max_seq_len
-    for start in range(0, len(tokens), step):
-        chunk = tokens[start:start + step]
-        _, cap = forward(model, chunk, taps=tap_set)
-        for site, pair in cap.entries.items():
-            chunks[site].append(pair)
-
-    entries = {
-        site: (
-            np.concatenate([x for x, _ in pairs], axis=1),
-            np.concatenate([y for _, y in pairs], axis=1),
-        )
-        for site, pairs in chunks.items()
-    }
+    n_full = len(tokens) // step
+    ids = np.asarray(tokens, dtype=np.int64)
+    blocks = [ids[:n_full * step].reshape(n_full, step), ids[n_full * step:].reshape(1, -1)]
+    parts = [_transformer(model, block, tap_set)[1] for block in blocks if block.size]
+    if len(parts) == 1:
+        entries = parts[0]      # no copy: the capture can be most of the memory
+    else:
+        entries = {
+            site: (
+                np.concatenate([pairs[site][0] for pairs in parts], axis=1),
+                np.concatenate([pairs[site][1] for pairs in parts], axis=1),
+            )
+            for site in tap_set
+        }
     return ActivationCapture(
         entries=entries,
         tokens=min_tokens,

@@ -54,9 +54,13 @@ log = logging.getLogger("taskprune")
 
 
 def _write_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write via `<path>.partial` and rename, so a failed dump never leaves
+    a truncated file in place of an earlier one."""
+    partial = f"{path}.partial"
+    with open(partial, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    os.replace(partial, path)
 
 
 def _read_corpus(path) -> bytes:

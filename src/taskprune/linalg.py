@@ -38,20 +38,6 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), *map(int, key)]))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    # non-optimized einsum accumulates in plain loop order, so results are
-    # bit-reproducible across BLAS builds
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return np.ascontiguousarray(m.T)
-
-
 def frobenius_norm(m: Matrix) -> float:
     return float(np.sqrt(np.sum(m * m)))
 

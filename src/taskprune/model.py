@@ -234,154 +234,13 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-_CAUSAL_MASKS: dict[int, np.ndarray] = {}
-
-
-def _causal_mask(seq: int) -> np.ndarray:
-    mask = _CAUSAL_MASKS.get(seq)
-    if mask is None:
-        mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-        _CAUSAL_MASKS[seq] = mask
-    return mask
-
-
-def attention(q: Matrix, k: Matrix, v: Matrix, head_dim: int) -> Matrix:
-    """Causal scaled dot-product attention for one head (rows are positions)."""
-    if q.shape != k.shape or v.shape[0] != k.shape[0]:
-        raise ValueError("q/k/v shapes are not conformable")
-    seq = q.shape[0]
-    scores = (q @ k.T) / np.sqrt(float(head_dim))
-    scores[_causal_mask(seq)] = -np.inf
-    scores -= scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights @ v
-
-
-def _heads_attention(qkv: Matrix, n_heads: int, d_model: int) -> Matrix:
-    q, k, v = qkv[:, :d_model], qkv[:, d_model:2 * d_model], qkv[:, 2 * d_model:]
-    head_dim = d_model // n_heads
-    outs = []
-    for h in range(n_heads):
-        sl = slice(h * head_dim, (h + 1) * head_dim)
-        outs.append(attention(q[:, sl], k[:, sl], v[:, sl], head_dim))
-    return np.concatenate(outs, axis=1)
-
-
-def multi_head(x: Matrix, w_qkv: Matrix, w_out: Matrix, n_heads: int) -> Matrix:
-    """Dense multi-head attention block (no taps, no adapters)."""
-    d_model = x.shape[1]
-    if d_model % n_heads != 0:
-        raise ValueError("d_model must be divisible by n_heads")
-    qkv = x @ w_qkv.T
-    return _heads_attention(qkv, n_heads, d_model) @ w_out.T
-
-
-def ffn(x: Matrix, w_1: Matrix, b_1: np.ndarray, w_2: Matrix, b_2: np.ndarray) -> Matrix:
-    return gelu(x @ w_1.T + b_1) @ w_2.T + b_2
-
-
-def _apply_site(base: ModelWeights, adapters: dict, site: SiteId, x: Matrix) -> Matrix:
-    fm = adapters.get(site)
-    if fm is None:
-        return x @ base.site_weight(site).T
-    # low-rank path: y = B (C x), done as two chained products
-    return (x @ fm.c.T) @ fm.b.T
-
-
-def forward(
-    model,
-    tokens: Sequence[int],
-    taps: set[SiteId] | frozenset[SiteId] | None = None,
-) -> tuple[Matrix, ActivationCapture | None]:
-    """Run the transformer; returns (logits per position, capture or None).
-
-    `model` is a ModelWeights or anything exposing `.base` / `.adapters`
-    (a pruned model). Tapped sites record the exact operand pair (x, y) of
-    their matrix multiplication, tokens as columns.
-    """
-    base: ModelWeights = getattr(model, "base", model)
-    adapters: dict = getattr(model, "adapters", None) or {}
-    config = base.config
-
-    n = len(tokens)
-    if n == 0:
-        raise ValueError("token sequence is empty")
-    if n > config.max_seq_len:
-        raise ValueError(f"sequence length {n} exceeds max_seq_len {config.max_seq_len}")
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError("token id out of range")
-
-    capture = {} if taps else None
-
-    def tap(site: SiteId, x: Matrix, y: Matrix) -> None:
-        if capture is not None and site in taps:
-            capture[site] = (np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
-
-    x = base.embed[ids] + base.pos_embed[:n]
-    for li, layer in enumerate(base.layers):
-        h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
-        site = SiteId(li, SiteKind.QKV)
-        qkv = _apply_site(base, adapters, site, h)
-        tap(site, h, qkv)
-        heads = _heads_attention(qkv, config.n_heads, config.d_model)
-        site = SiteId(li, SiteKind.OUT)
-        attn_out = _apply_site(base, adapters, site, heads)
-        tap(site, heads, attn_out)
-        x = x + attn_out
-
-        h2 = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
-        site = SiteId(li, SiteKind.FFN1)
-        z1 = _apply_site(base, adapters, site, h2)
-        tap(site, h2, z1)
-        act = gelu(z1 + layer.b_ffn1)
-        site = SiteId(li, SiteKind.FFN2)
-        z2 = _apply_site(base, adapters, site, act)
-        tap(site, act, z2)
-        x = x + z2 + layer.b_ffn2
-
-    x = layer_norm(x, base.final_gain, base.final_bias)
-    logits = x @ base.unembed.T
-
-    if capture is None:
-        return logits, None
-    cap = ActivationCapture(entries=capture, tokens=n)
-    return logits, cap
-
-
-def greedy_decode(model, prompt: Sequence[int], max_new: int) -> list[int]:
-    """Greedy continuation; stops at STOP_BYTE (excluded) or after max_new tokens.
-
-    Argmax ties break toward the lower token id. Returns only the generated
-    tokens.
-    """
-    if len(prompt) == 0:
-        raise ValueError("prompt is empty")
-    base: ModelWeights = getattr(model, "base", model)
-    if len(prompt) + max_new > base.config.max_seq_len:
-        raise ValueError(
-            f"context overflow: {len(prompt)} prompt + {max_new} new tokens "
-            f"> max_seq_len {base.config.max_seq_len}"
-        )
-    seq = list(prompt)
-    out: list[int] = []
-    for _ in range(max_new):
-        logits, _ = forward(model, seq)
-        nxt = int(np.argmax(logits[-1]))
-        if nxt == STOP_BYTE:
-            break
-        seq.append(nxt)
-        out.append(nxt)
-    return out
-
-
-def _heads_attention_rows(qkv: np.ndarray, n_heads: int, d_model: int) -> np.ndarray:
-    # qkv: (batch, seq, 3*d_model)
-    seq = qkv.shape[1]
+def _attention(qkv: np.ndarray, n_heads: int) -> np.ndarray:
+    """Causal scaled dot-product attention over a (batch, seq, 3*d) block of
+    packed q/k/v rows; returns the concatenated heads, (batch, seq, d)."""
+    d_model = qkv.shape[-1] // 3
     head_dim = d_model // n_heads
     q, k, v = qkv[..., :d_model], qkv[..., d_model:2 * d_model], qkv[..., 2 * d_model:]
-    mask = _causal_mask(seq)
+    mask = np.triu(np.ones((qkv.shape[1], qkv.shape[1]), dtype=bool), k=1)
     outs = []
     for h in range(n_heads):
         sl = slice(h * head_dim, (h + 1) * head_dim)
@@ -394,70 +253,111 @@ def _heads_attention_rows(qkv: np.ndarray, n_heads: int, d_model: int) -> np.nda
     return np.concatenate(outs, axis=-1)
 
 
-def _last_logits_rows(model, seqs: np.ndarray) -> np.ndarray:
-    """Logits at the final position for a (batch, seq) block of token ids."""
+def _check_ids(config: TransformerConfig, ids: np.ndarray, max_new: int = 0) -> None:
+    """Reject a (batch, seq) block that is empty, that overflows the context
+    once max_new tokens are appended, or that holds an id outside the vocabulary."""
+    seq = ids.shape[1]
+    if seq == 0:
+        raise ValueError("token sequence is empty")
+    if seq + max_new > config.max_seq_len:
+        raise ValueError(
+            f"context overflow: {seq} tokens + {max_new} new tokens "
+            f"> max_seq_len {config.max_seq_len}"
+        )
+    if ids.min() < 0 or ids.max() >= config.vocab_size:
+        raise ValueError("token id out of range")
+
+
+def _columns(a: np.ndarray) -> Matrix:
+    """(batch, seq, d) -> (d, batch*seq): tokens as columns, batch-major."""
+    return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+
+
+def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] | None = None):
+    """Run a (batch, seq) block of token ids through every layer.
+
+    `model` is a ModelWeights or anything exposing `.base` / `.adapters`
+    (a pruned model). Returns the final residual stream (batch, seq, d_model)
+    and, for each tapped site, the exact operand pair (x, y) of its matrix
+    product with tokens as columns.
+    """
     base: ModelWeights = getattr(model, "base", model)
     adapters: dict = getattr(model, "adapters", None) or {}
-    config = base.config
-    seq = seqs.shape[1]
+    _check_ids(base.config, ids)
+    pairs: dict[SiteId, tuple[Matrix, Matrix]] = {}
 
-    def apply_site(site: SiteId, x: np.ndarray) -> np.ndarray:
+    def site_product(layer: int, kind: SiteKind, x: np.ndarray) -> np.ndarray:
+        site = SiteId(layer, kind)
         fm = adapters.get(site)
+        # the products stay 3-D: flattened to (batch*seq, d) they change the
+        # captured pairs and the logits in the last bits
         if fm is None:
-            return x @ base.site_weight(site).T
-        return (x @ fm.c.T) @ fm.b.T
+            y = x @ base.site_weight(site).T
+        else:
+            # low-rank path: y = B (C x), done as two chained products
+            y = (x @ fm.c.T) @ fm.b.T
+        if taps and site in taps:
+            pairs[site] = (_columns(x), _columns(y))
+        return y
 
-    x = base.embed[seqs] + base.pos_embed[:seq]
+    x = base.embed[ids] + base.pos_embed[:ids.shape[1]]
     for li, layer in enumerate(base.layers):
         h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
-        qkv = apply_site(SiteId(li, SiteKind.QKV), h)
-        heads = _heads_attention_rows(qkv, config.n_heads, config.d_model)
-        x = x + apply_site(SiteId(li, SiteKind.OUT), heads)
+        heads = _attention(site_product(li, SiteKind.QKV, h), base.config.n_heads)
+        x = x + site_product(li, SiteKind.OUT, heads)
         h2 = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
-        act = gelu(apply_site(SiteId(li, SiteKind.FFN1), h2) + layer.b_ffn1)
-        x = x + apply_site(SiteId(li, SiteKind.FFN2), act) + layer.b_ffn2
-    last = layer_norm(x[:, -1, :], base.final_gain, base.final_bias)
-    return last @ base.unembed.T
+        act = gelu(site_product(li, SiteKind.FFN1, h2) + layer.b_ffn1)
+        x = x + site_product(li, SiteKind.FFN2, act) + layer.b_ffn2
+    return x, pairs
+
+
+def _head(base: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """Final layer norm and unembedding: residual rows -> logits."""
+    return layer_norm(x, base.final_gain, base.final_bias) @ base.unembed.T
+
+
+def forward(
+    model,
+    tokens: Sequence[int],
+    taps: set[SiteId] | frozenset[SiteId] | None = None,
+) -> tuple[Matrix, ActivationCapture | None]:
+    """Logits at every position of one sequence, and the capture of the
+    tapped sites (None without taps)."""
+    base: ModelWeights = getattr(model, "base", model)
+    x, pairs = _transformer(model, np.asarray(tokens, dtype=np.int64).reshape(1, -1), taps)
+    logits = _head(base, x[0])
+    if not taps:
+        return logits, None
+    return logits, ActivationCapture(entries=pairs, tokens=len(tokens))
 
 
 def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int) -> list[list[int]]:
-    """Greedy-decode many prompts at once; equal-length prompts run in lockstep.
+    """Greedy continuation of every prompt; equal-length prompts run in lockstep.
 
-    Same contract as greedy_decode per prompt; the batched arithmetic is what
-    makes search-time evaluation affordable.
+    Each continuation stops at STOP_BYTE (excluded) or after max_new tokens,
+    and argmax ties break toward the lower token id. Returns only the
+    generated tokens.
     """
     base: ModelWeights = getattr(model, "base", model)
-    results: list[list[int] | None] = [None] * len(prompts)
     by_len: dict[int, list[int]] = {}
     for i, p in enumerate(prompts):
-        if len(p) == 0:
-            raise ValueError("prompt is empty")
-        if len(p) + max_new > base.config.max_seq_len:
-            raise ValueError(
-                f"context overflow: {len(p)} prompt + {max_new} new tokens "
-                f"> max_seq_len {base.config.max_seq_len}"
-            )
         by_len.setdefault(len(p), []).append(i)
+    blocks = {
+        length: np.array([list(prompts[i]) for i in idxs], dtype=np.int64).reshape(len(idxs), length)
+        for length, idxs in by_len.items()
+    }
+    for seqs in blocks.values():
+        _check_ids(base.config, seqs, max_new)
 
-    for length in sorted(by_len):
-        idxs = by_len[length]
-        seqs = np.array([list(prompts[i]) for i in idxs], dtype=np.int64)
-        if seqs.min() < 0 or seqs.max() >= base.config.vocab_size:
-            raise ValueError("token id out of range")
-        generated = np.empty((len(idxs), 0), dtype=np.int64)
+    results: list[list[int]] = [[] for _ in prompts]
+    for length, seqs in blocks.items():
         for _ in range(max_new):
-            logits = _last_logits_rows(model, seqs)
-            nxt = np.argmax(logits, axis=1).astype(np.int64)
+            x, _ = _transformer(model, seqs)
+            nxt = np.argmax(_head(base, x[:, -1, :]), axis=1)
             seqs = np.concatenate([seqs, nxt[:, None]], axis=1)
-            generated = np.concatenate([generated, nxt[:, None]], axis=1)
-        for row, i in enumerate(idxs):
-            out: list[int] = []
-            for t in generated[row]:
-                if t == STOP_BYTE:
-                    break
-                out.append(int(t))
-            results[i] = out
-    return results  # type: ignore[return-value]
+        for i, row in zip(by_len[length], seqs[:, length:].tolist()):
+            results[i] = row[:row.index(STOP_BYTE)] if STOP_BYTE in row else row
+    return results
 
 
 def count_params(model: ModelWeights, sites_only: bool = False) -> int:

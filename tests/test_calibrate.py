@@ -90,6 +90,27 @@ class TestCapture:
             w = tiny_model.site_weight(site)
             assert tp.frobenius_rel_error(y, w @ x) <= 1e-12
 
+    def test_batched_capture_equals_per_chunk_forward(self, tiny_model, tiny_corpus, tiny_capture):
+        # 2500 tokens: 78 full chunks of 32 run as one batch, a 4-token tail as another
+        step = tiny_model.config.max_seq_len
+        tokens = list(tiny_corpus[:2500])
+        taps = frozenset(sites(tiny_model.config))
+        caps = [forward(tiny_model, tokens[i:i + step], taps=taps)[1]
+                for i in range(0, len(tokens), step)]
+        assert len(caps) == 79 and caps[-1].tokens == 4
+        for site, (x, y) in tiny_capture.entries.items():
+            x_ref = np.concatenate([c.entries[site][0] for c in caps], axis=1)
+            y_ref = np.concatenate([c.entries[site][1] for c in caps], axis=1)
+            assert x.tobytes() == x_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()
+
+    def test_token_ids_outside_vocabulary_rejected(self):
+        cfg = tp.TransformerConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
+                                   vocab_size=64, max_seq_len=8)
+        model = tp.random_model(cfg, seed=5)
+        with pytest.raises(ValueError, match="out of range"):
+            capture_calibration(model, [1, 2, 3, 4, 5, 6, 7, 8, 9, 64], min_tokens=10)
+
     def test_corpus_too_small(self, tiny_model):
         with pytest.raises(CorpusTooSmallError):
             capture_calibration(tiny_model, b"abc", min_tokens=100)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import taskprune as tp
-from taskprune.cli import main
+from taskprune.cli import _write_json, main
 from taskprune.linalg import derive_rng
 from taskprune.search import TaskMode, TaskSpec, save_task
 
@@ -189,3 +189,12 @@ class TestErrorPaths:
         run_doc = json.loads((tmp_path / "run" / "run.json").read_text())
         assert run_doc["feasible"] is False
         assert run_doc["best_indices"] == [0] * 8
+
+    def test_failed_dump_keeps_earlier_run_json(self, tmp_path):
+        path = tmp_path / "run.json"
+        _write_json({"schema": "taskprune-run-v1", "accuracy": 1.0}, path)
+        before = path.read_bytes()
+        # json.dump has written part of the document when it meets the set
+        with pytest.raises(TypeError):
+            _write_json({"accuracy": 0.5, "zz": {1, 2}}, path)
+        assert path.read_bytes() == before

@@ -12,56 +12,8 @@ from taskprune.linalg import (
     derive_rng,
     frobenius_norm,
     frobenius_rel_error,
-    matmul,
-    transpose,
     truncated_svd,
 )
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = derive_rng(1)
-        m = rng.normal(size=(3, 5))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[3.0], [7.0]]))
-
-    def test_matches_triple_loop_exactly(self):
-        rng = derive_rng(2)
-        a = rng.normal(size=(8, 8))
-        b = rng.normal(size=(8, 8))
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_associativity(self, seed):
-        rng = derive_rng(seed)
-        dims = rng.integers(1, 17, size=4)
-        a = rng.normal(size=(dims[0], dims[1]))
-        b = rng.normal(size=(dims[1], dims[2]))
-        c = rng.normal(size=(dims[2], dims[3]))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = max(frobenius_norm(left), 1e-30)
-        assert frobenius_norm(left - right) / scale < 1e-9
 
 
 class TestTruncatedSvd:
@@ -210,14 +162,6 @@ def test_as_matrix_validates():
         as_matrix([[np.inf, 0.0]])
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.float64
-
-
-def test_transpose_contiguous():
-    m = derive_rng(14).normal(size=(3, 5))
-    t = transpose(m)
-    assert t.shape == (5, 3)
-    assert t.flags["C_CONTIGUOUS"]
-    assert np.array_equal(t, m.T)
 
 
 def test_derive_rng_reproducible_and_keyed():

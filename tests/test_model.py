@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import taskprune as tp
+from taskprune.calibrate import PruningVector, assemble
 from taskprune.linalg import derive_rng, frobenius_rel_error
 from taskprune.model import (
     LN_EPS,
@@ -14,15 +15,12 @@ from taskprune.model import (
     FormatError,
     SiteId,
     SiteKind,
-    attention,
+    _attention,
     detokenize,
-    ffn,
     forward,
-    greedy_decode,
     greedy_decode_batch,
     layer_norm,
     model_to_bytes,
-    multi_head,
     site_dims,
     sites,
     tokenize,
@@ -142,20 +140,26 @@ class TestForward:
             assert frobenius_rel_error(y, w @ x) <= 1e-12
 
 
+def attention(q, k, v):
+    """The attention helper on one sequence and one head: q, k and v are
+    packed as a (1, seq, 3*head_dim) block."""
+    return _attention(np.concatenate([q, k, v], axis=1)[None], 1)[0]
+
+
 class TestAttention:
     def test_single_position_returns_value(self):
         rng = derive_rng(25)
         q = rng.normal(size=(1, 4))
         k = rng.normal(size=(1, 4))
         v = rng.normal(size=(1, 4))
-        np.testing.assert_allclose(attention(q, k, v, 4), v, atol=1e-14)
+        np.testing.assert_allclose(attention(q, k, v), v, atol=1e-14)
 
     def test_identical_keys_give_prefix_mean(self):
         rng = derive_rng(26)
         q = rng.normal(size=(5, 4))
         k = np.tile(rng.normal(size=(1, 4)), (5, 1))
         v = rng.normal(size=(5, 4))
-        out = attention(q, k, v, 4)
+        out = attention(q, k, v)
         for i in range(5):
             np.testing.assert_allclose(out[i], v[: i + 1].mean(axis=0), atol=1e-12)
 
@@ -164,7 +168,7 @@ class TestAttention:
         q = rng.normal(size=(4, 3))
         k = rng.normal(size=(4, 3))
         v = rng.normal(size=(4, 3))
-        out = attention(q, k, v, 3)
+        out = attention(q, k, v)
         for i in range(4):
             scores = [float(q[i] @ k[j]) / math.sqrt(3) for j in range(i + 1)]
             mx = max(scores)
@@ -175,57 +179,93 @@ class TestAttention:
 
     def test_softmax_rows_sum_to_one_over_prefix(self):
         rng = derive_rng(28)
-        q = rng.normal(size=(6, 4))
-        k = rng.normal(size=(6, 4))
-        weights = attention(q, k, np.eye(6), 4)
+        q = rng.normal(size=(6, 6))
+        k = rng.normal(size=(6, 6))
+        weights = attention(q, k, np.eye(6))
         sums = weights.sum(axis=1)
         np.testing.assert_allclose(sums, np.ones(6), atol=1e-12)
         # strictly causal: no weight above the diagonal
         assert np.all(np.triu(weights, k=1) == 0.0)
 
     def test_multi_head_divisibility(self):
-        with pytest.raises(ValueError):
-            multi_head(np.zeros((2, 6)), np.zeros((18, 6)), np.zeros((6, 6)), 4)
+        with pytest.raises(ValueError, match="divisible"):
+            tp.TransformerConfig(n_layers=1, d_model=6, n_heads=4, d_ff=8)
 
     def test_multi_head_matches_forward_block(self, tiny_model):
-        # the standalone block equals what forward computes for layer 0
+        # the heads of the tapped qkv output, projected by w_out, are what
+        # forward feeds the residual stream in layer 0
         rng = derive_rng(29)
         tokens = rng.integers(0, 256, size=6).tolist()
         tap_set = frozenset({SiteId(0, SiteKind.QKV), SiteId(0, SiteKind.OUT)})
         _, cap = forward(tiny_model, tokens, taps=tap_set)
-        x_in = cap.entries[SiteId(0, SiteKind.QKV)][0].T
-        out = multi_head(x_in, tiny_model.layers[0].w_qkv,
-                         tiny_model.layers[0].w_out, tiny_model.config.n_heads)
+        qkv = cap.entries[SiteId(0, SiteKind.QKV)][1].T
+        out = _attention(qkv[None], tiny_model.config.n_heads)[0] @ tiny_model.layers[0].w_out.T
         np.testing.assert_allclose(out, cap.entries[SiteId(0, SiteKind.OUT)][1].T, atol=1e-12)
 
 
 class TestFfn:
+    """The FFN block of a one-layer model whose attention adds nothing."""
+
+    @staticmethod
+    def model(seed):
+        cfg = tp.TransformerConfig(n_layers=1, d_model=4, n_heads=1, d_ff=6, max_seq_len=8)
+        m = tp.random_model(cfg, seed=seed, scale=0.5)
+        m.layers[0].w_out[:] = 0.0
+        m.layers[0].b_ffn1[:] = derive_rng(seed, 1).normal(size=6)
+        m.layers[0].b_ffn2[:] = derive_rng(seed, 2).normal(size=4)
+        return m
+
+    @staticmethod
+    def logits_after_residual_update(m, tokens, update):
+        x = m.embed[tokens] + m.pos_embed[:len(tokens)] + update
+        return layer_norm(x, m.final_gain, m.final_bias) @ m.unembed.T
+
     def test_zero_input_zero_bias_gives_b2(self):
-        w1 = derive_rng(30).normal(size=(6, 4))
-        w2 = derive_rng(31).normal(size=(4, 6))
-        b2 = derive_rng(32).normal(size=4)
-        out = ffn(np.zeros((3, 4)), w1, np.zeros(6), w2, b2)
-        np.testing.assert_allclose(out, np.tile(b2, (3, 1)), atol=1e-14)
+        m = self.model(30)
+        m.layers[0].ln2_gain[:] = 0.0
+        m.layers[0].ln2_bias[:] = 0.0
+        m.layers[0].b_ffn1[:] = 0.0
+        tokens = [3, 40, 7]
+        logits, cap = forward(m, tokens, taps={SiteId(0, SiteKind.FFN2)})
+        assert np.all(cap.entries[SiteId(0, SiteKind.FFN2)][0] == 0.0)
+        expected = self.logits_after_residual_update(m, tokens, m.layers[0].b_ffn2)
+        np.testing.assert_allclose(logits, expected, atol=1e-12)
 
     def test_zero_w2_gives_b2(self):
-        rng = derive_rng(33)
-        out = ffn(rng.normal(size=(3, 4)), rng.normal(size=(6, 4)), rng.normal(size=6),
-                  np.zeros((4, 6)), np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(out, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)), atol=1e-14)
+        m = self.model(33)
+        m.layers[0].w_ffn2[:] = 0.0
+        tokens = [9, 1, 200, 5]
+        logits, _ = forward(m, tokens)
+        expected = self.logits_after_residual_update(m, tokens, m.layers[0].b_ffn2)
+        np.testing.assert_allclose(logits, expected, atol=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
-        rng = derive_rng(34)
-        x = rng.normal(size=(3, 4))
-        w1 = rng.normal(size=(6, 4))
-        b1 = rng.normal(size=6)
-        w2 = rng.normal(size=(4, 6))
-        b2 = rng.normal(size=4)
-        out = ffn(x, w1, b1, w2, b2)
+        m = self.model(34)
+        layer = m.layers[0]
+        taps = {SiteId(0, SiteKind.FFN1), SiteId(0, SiteKind.FFN2)}
+        _, cap = forward(m, [11, 22, 33], taps=taps)
+        x = cap.entries[SiteId(0, SiteKind.FFN1)][0].T
+        y = cap.entries[SiteId(0, SiteKind.FFN2)][1].T
+        w1, b1, w2 = layer.w_ffn1, layer.b_ffn1, layer.w_ffn2
         for i in range(3):
             z = [sum(w1[r, c] * x[i, c] for c in range(4)) + b1[r] for r in range(6)]
             act = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z]
-            expected = [sum(w2[r, c] * act[c] for c in range(6)) + b2[r] for r in range(4)]
-            np.testing.assert_allclose(out[i], expected, atol=1e-12)
+            expected = [sum(w2[r, c] * act[c] for c in range(6)) for r in range(4)]
+            np.testing.assert_allclose(y[i], expected, atol=1e-12)
+
+
+def forward_decode(model, prompt, max_new):
+    """Oracle for greedy decoding: one full forward pass per new token."""
+    seq = list(prompt)
+    out = []
+    for _ in range(max_new):
+        logits, _ = forward(model, seq)
+        nxt = int(np.argmax(logits[-1]))
+        if nxt == STOP_BYTE:
+            break
+        seq.append(nxt)
+        out.append(nxt)
+    return out
 
 
 class TestGreedyDecode:
@@ -234,8 +274,7 @@ class TestGreedyDecode:
         m.unembed[9] = m.unembed[5]  # ids 5 and 9 now always tie
         m.unembed[np.arange(256) > 9] = 0.0
         m.unembed[np.arange(256) < 5] = 0.0
-        out = greedy_decode(m, [1, 2], 1)
-        assert out == [5]
+        assert greedy_decode_batch(m, [[1, 2]], 1) == [[5]]
 
     def test_stop_byte_halts(self, tiny_config):
         m = tp.random_model(tiny_config, seed=36)
@@ -245,35 +284,48 @@ class TestGreedyDecode:
         m.final_bias[:] = 1.0
         m.unembed[:] = 0.0
         m.unembed[STOP_BYTE] = 1.0
-        assert greedy_decode(m, [1, 2, 3], 5) == []
+        assert greedy_decode_batch(m, [[1, 2, 3]], 5) == [[]]
 
     def test_generates_up_to_max_new(self, tiny_model):
-        out = greedy_decode(tiny_model, [10, 20], 4)
+        [out] = greedy_decode_batch(tiny_model, [[10, 20]], 4)
         assert len(out) <= 4
         assert all(0 <= t < 256 for t in out)
 
     def test_context_overflow(self, tiny_model):
         max_len = tiny_model.config.max_seq_len
         with pytest.raises(ValueError, match="overflow"):
-            greedy_decode(tiny_model, [1] * max_len, 1)
+            greedy_decode_batch(tiny_model, [[1] * max_len], 1)
 
     def test_empty_prompt(self, tiny_model):
         with pytest.raises(ValueError):
-            greedy_decode(tiny_model, [], 3)
+            greedy_decode_batch(tiny_model, [[]], 3)
 
     def test_batch_matches_single(self, tiny_model):
         rng = derive_rng(37)
         prompts = [rng.integers(1, 256, size=int(rng.integers(3, 9))).tolist()
                    for _ in range(20)]
         batch = greedy_decode_batch(tiny_model, prompts, 4)
-        single = [greedy_decode(tiny_model, p, 4) for p in prompts]
+        single = [forward_decode(tiny_model, p, 4) for p in prompts]
         assert batch == single
+
+    def test_pruned_batch_matches_forward_oracle(self, tiny_model, tiny_cache):
+        # mixed levels; the dense level stays at three sites
+        vec = PruningVector((0, 3, 5, 0, 2, 9, 0, 1), tiny_cache.factor_set)
+        pruned = assemble(tiny_model, vec, tiny_cache)
+        assert len(pruned.adapters) == 5
+        rng = derive_rng(41)
+        prompts = [rng.integers(1, 256, size=int(rng.integers(1, 20))).tolist()
+                   for _ in range(20)]
+        batch = greedy_decode_batch(pruned, prompts, 4)
+        assert batch == [forward_decode(pruned, p, 4) for p in prompts]
 
     def test_batch_validates(self, tiny_model):
         with pytest.raises(ValueError):
-            greedy_decode_batch(tiny_model, [[]], 2)
+            greedy_decode_batch(tiny_model, [[1, 2], []], 2)
         with pytest.raises(ValueError, match="overflow"):
-            greedy_decode_batch(tiny_model, [[1] * tiny_model.config.max_seq_len], 1)
+            greedy_decode_batch(tiny_model, [[1, 2], [1] * tiny_model.config.max_seq_len], 1)
+        with pytest.raises(ValueError, match="out of range"):
+            greedy_decode_batch(tiny_model, [[1, 2], [3, 256]], 1)
 
 
 class TestPersistence:
