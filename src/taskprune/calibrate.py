@@ -396,43 +396,47 @@ def load_cache(path) -> AdapterCache:
         _, meta, tensors = read_container(fh, expected_version=CACHE_VERSION)
     if meta.get("kind") != "adapter_cache":
         raise FormatError(f"not an adapter cache: kind={meta.get('kind')!r}")
-    config = TransformerConfig.from_dict(meta["config"])
-    factor_set = FactorSet(tuple(float(x) for x in meta["factor_set"]))
-    opts = FactorizeOptions(
-        epochs=int(meta["options"]["epochs"]),
-        batch_tokens=int(meta["options"]["batch_tokens"]),
-        learning_rate=float(meta["options"]["learning_rate"]),
-        seed=int(meta["options"]["seed"]),
-    )
-    entries: dict[tuple[SiteId, int], FactorizedMatrix | None] = {
-        (site, 0): None for site in sites(config)
-    }
-    flagged: dict[tuple[SiteId, int], str] = {}
-    for i, row in enumerate(meta["entries"]):
-        site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
-        fi = int(row["factor_index"])
-        if row.get("flagged"):
-            entries[(site, fi)] = None
-            flagged[(site, fi)] = str(row.get("reason", ""))
-            continue
-        fm = FactorizedMatrix(
-            b=tensors[f"e{i}.b"],
-            c=tensors[f"e{i}.c"],
-            rank=int(row["rank"]),
-            method=Method(row["method"]),
-            calib_error=float(row["calib_error"]),
-            achieved_factor=float(row["achieved_factor"]),
+    try:
+        config = TransformerConfig.from_dict(meta["config"])
+        factor_set = FactorSet(tuple(float(x) for x in meta["factor_set"]))
+        opts = FactorizeOptions(
+            epochs=int(meta["options"]["epochs"]),
+            batch_tokens=int(meta["options"]["batch_tokens"]),
+            learning_rate=float(meta["options"]["learning_rate"]),
+            seed=int(meta["options"]["seed"]),
         )
-        entries[(site, fi)] = fm
-        flagged.pop((site, fi), None)
+        entries: dict[tuple[SiteId, int], FactorizedMatrix | None] = {
+            (site, 0): None for site in sites(config)
+        }
+        flagged: dict[tuple[SiteId, int], str] = {}
+        for i, row in enumerate(meta["entries"]):
+            site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
+            fi = int(row["factor_index"])
+            if row.get("flagged"):
+                entries[(site, fi)] = None
+                flagged[(site, fi)] = str(row.get("reason", ""))
+                continue
+            fm = FactorizedMatrix(
+                b=tensors[f"e{i}.b"],
+                c=tensors[f"e{i}.c"],
+                rank=int(row["rank"]),
+                method=Method(row["method"]),
+                calib_error=float(row["calib_error"]),
+                achieved_factor=float(row["achieved_factor"]),
+            )
+            entries[(site, fi)] = fm
+            flagged.pop((site, fi), None)
+        fingerprints = str(meta["model_fingerprint"]), str(meta["calib_fingerprint"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad cache metadata: {exc}") from exc
     expected = {(s, fi) for s in sites(config) for fi in range(len(factor_set))}
     if set(entries) != expected:
         raise FormatError("cache manifest does not cover every site and factor level")
     return AdapterCache(
         config=config,
         factor_set=factor_set,
-        model_fingerprint=str(meta["model_fingerprint"]),
-        calib_fingerprint=str(meta["calib_fingerprint"]),
+        model_fingerprint=fingerprints[0],
+        calib_fingerprint=fingerprints[1],
         options=opts,
         entries=entries,
         flagged=flagged,

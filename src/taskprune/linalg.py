@@ -19,15 +19,6 @@ _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
 
 
-def as_matrix(data) -> Matrix:
-    """Coerce to a 2-D float64 C-order array, rejecting non-finite entries."""
-    m = np.array(data, dtype=np.float64, order="C")
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    require_finite(m, "matrix")
-    return m
-
-
 def require_finite(m: np.ndarray, what: str = "array") -> None:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} contains non-finite entries")

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import erf
 
 from .factorize import rank_for_factor
-from .linalg import Matrix, derive_rng, require_finite
+from .linalg import Matrix, derive_rng
 
 VOCAB_SIZE = 256
 STOP_BYTE = 0
@@ -234,13 +234,21 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def _attention(qkv: np.ndarray, n_heads: int) -> np.ndarray:
+def _attention(qkv: np.ndarray, n_heads: int, kv: np.ndarray | None = None) -> np.ndarray:
     """Causal scaled dot-product attention over a (batch, seq, 3*d) block of
-    packed q/k/v rows; returns the concatenated heads, (batch, seq, d)."""
+    packed q/k/v rows; returns the concatenated heads, (batch, seq, d).
+
+    `kv`, when given, holds the packed k|v rows (batch, n_k, 2*d) of every
+    position up to and including this block's own, which are the last seq
+    of them; without it the block attends to itself.
+    """
     d_model = qkv.shape[-1] // 3
     head_dim = d_model // n_heads
-    q, k, v = qkv[..., :d_model], qkv[..., d_model:2 * d_model], qkv[..., 2 * d_model:]
-    mask = np.triu(np.ones((qkv.shape[1], qkv.shape[1]), dtype=bool), k=1)
+    if kv is None:
+        kv = qkv[..., d_model:]
+    q, k, v = qkv[..., :d_model], kv[..., :d_model], kv[..., d_model:]
+    n_q, n_k = q.shape[1], k.shape[1]
+    mask = np.triu(np.ones((n_q, n_k), dtype=bool), k=1 + n_k - n_q)
     outs = []
     for h in range(n_heads):
         sl = slice(h * head_dim, (h + 1) * head_dim)
@@ -253,15 +261,16 @@ def _attention(qkv: np.ndarray, n_heads: int) -> np.ndarray:
     return np.concatenate(outs, axis=-1)
 
 
-def _check_ids(config: TransformerConfig, ids: np.ndarray, max_new: int = 0) -> None:
+def _check_ids(config: TransformerConfig, ids: np.ndarray, max_new: int = 0, start: int = 0) -> None:
     """Reject a (batch, seq) block that is empty, that overflows the context
-    once max_new tokens are appended, or that holds an id outside the vocabulary."""
+    when it starts at position `start` and max_new tokens are appended, or
+    that holds an id outside the vocabulary."""
     seq = ids.shape[1]
     if seq == 0:
         raise ValueError("token sequence is empty")
-    if seq + max_new > config.max_seq_len:
+    if start + seq + max_new > config.max_seq_len:
         raise ValueError(
-            f"context overflow: {seq} tokens + {max_new} new tokens "
+            f"context overflow: {start + seq} tokens + {max_new} new tokens "
             f"> max_seq_len {config.max_seq_len}"
         )
     if ids.min() < 0 or ids.max() >= config.vocab_size:
@@ -273,17 +282,26 @@ def _columns(a: np.ndarray) -> Matrix:
     return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
 
 
-def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] | None = None):
+def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] | None = None,
+                 cache: list[np.ndarray] | None = None):
     """Run a (batch, seq) block of token ids through every layer.
 
     `model` is a ModelWeights or anything exposing `.base` / `.adapters`
     (a pruned model). Returns the final residual stream (batch, seq, d_model)
     and, for each tapped site, the exact operand pair (x, y) of its matrix
     product with tokens as columns.
+
+    `cache`, when given, is the per-layer K/V cache of one decode: entry i
+    holds layer i's packed k|v rows, (batch, n_seen, 2*d_model), of the
+    positions seen so far. The block sits at positions n_seen onward,
+    attends to those rows and its own, and its k|v rows are appended. An
+    empty list starts at position 0.
     """
     base: ModelWeights = getattr(model, "base", model)
     adapters: dict = getattr(model, "adapters", None) or {}
-    _check_ids(base.config, ids)
+    start = cache[0].shape[1] if cache else 0
+    _check_ids(base.config, ids, start=start)
+    d_model = base.config.d_model
     pairs: dict[SiteId, tuple[Matrix, Matrix]] = {}
 
     def site_product(layer: int, kind: SiteKind, x: np.ndarray) -> np.ndarray:
@@ -300,10 +318,21 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
             pairs[site] = (_columns(x), _columns(y))
         return y
 
-    x = base.embed[ids] + base.pos_embed[:ids.shape[1]]
+    x = base.embed[ids] + base.pos_embed[start:start + ids.shape[1]]
     for li, layer in enumerate(base.layers):
         h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
-        heads = _attention(site_product(li, SiteKind.QKV, h), base.config.n_heads)
+        qkv = site_product(li, SiteKind.QKV, h)
+        kv = None
+        if cache is not None:
+            kv = qkv[..., d_model:]
+            if li < len(cache):
+                kv = np.concatenate([cache[li], kv], axis=1)
+                cache[li] = kv
+            else:
+                cache.append(kv)
+        heads = _attention(qkv, base.config.n_heads, kv)
+        # a capture block's q|k|v is its largest array; free it before the FFN
+        del qkv
         x = x + site_product(li, SiteKind.OUT, heads)
         h2 = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
         act = gelu(site_product(li, SiteKind.FFN1, h2) + layer.b_ffn1)
@@ -334,9 +363,11 @@ def forward(
 def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int) -> list[list[int]]:
     """Greedy continuation of every prompt; equal-length prompts run in lockstep.
 
-    Each continuation stops at STOP_BYTE (excluded) or after max_new tokens,
-    and argmax ties break toward the lower token id. Returns only the
-    generated tokens.
+    Each block of equal-length prompts runs through the layers once, filling
+    a K/V cache local to this call; every later step feeds only the previous
+    step's tokens, one row per prompt. Each continuation stops at STOP_BYTE
+    (excluded) or after max_new tokens, and argmax ties break toward the
+    lower token id. Returns only the generated tokens.
     """
     base: ModelWeights = getattr(model, "base", model)
     by_len: dict[int, list[int]] = {}
@@ -350,12 +381,14 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int) -
         _check_ids(base.config, seqs, max_new)
 
     results: list[list[int]] = [[] for _ in prompts]
-    for length, seqs in blocks.items():
+    for length, step in blocks.items():
+        cache: list[np.ndarray] = []
+        new = []
         for _ in range(max_new):
-            x, _ = _transformer(model, seqs)
-            nxt = np.argmax(_head(base, x[:, -1, :]), axis=1)
-            seqs = np.concatenate([seqs, nxt[:, None]], axis=1)
-        for i, row in zip(by_len[length], seqs[:, length:].tolist()):
+            x, _ = _transformer(model, step, cache=cache)
+            step = np.argmax(_head(base, x[:, -1, :]), axis=1)[:, None]
+            new.append(step)
+        for i, row in zip(by_len[length], np.concatenate(new, axis=1).tolist()):
             results[i] = row[:row.index(STOP_BYTE)] if STOP_BYTE in row else row
     return results
 
@@ -425,6 +458,11 @@ def write_container(buf, version: int, meta: dict, tensors: list[tuple[str, np.n
 
 
 def read_container(buf, expected_version: int | None = None) -> tuple[int, dict, dict[str, np.ndarray]]:
+    """Parse a SIEV container from a seekable binary stream.
+
+    The whole manifest is checked against the bytes that remain before any
+    payload is read; every defect raises FormatError.
+    """
     magic = buf.read(4)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
@@ -434,28 +472,37 @@ def read_container(buf, expected_version: int | None = None) -> tuple[int, dict,
     version, meta_len = struct.unpack("<IQ", head)
     if expected_version is not None and version != expected_version:
         raise FormatError(f"version mismatch: expected {expected_version}, got {version}")
-    meta_bytes = buf.read(meta_len)
-    if len(meta_bytes) != meta_len:
+    here = buf.tell()
+    remaining = buf.seek(0, io.SEEK_END) - here
+    buf.seek(here)
+    if meta_len > remaining:
         raise FormatError("truncated metadata")
+    meta_bytes = buf.read(meta_len)
+    remaining -= meta_len
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"invalid metadata: {exc}") from exc
-    manifest = meta.get("tensors")
+    manifest = meta.get("tensors") if isinstance(meta, dict) else None
     if not isinstance(manifest, list):
         raise FormatError("metadata is missing the tensor manifest")
+    for entry in manifest:
+        # bool is an int subclass, so the dims are checked by exact type
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and all(type(entry.get(k)) is int and entry[k] >= 0 for k in ("rows", "cols"))):
+            raise FormatError(f"malformed manifest entry {entry!r}")
+        remaining -= entry["rows"] * entry["cols"] * 8
+        if remaining < 0:
+            raise FormatError(f"truncated payload for tensor {entry['name']!r}")
+    if remaining > 0:
+        raise FormatError("trailing bytes after tensor payload")
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest:
-        rows, cols = int(entry["rows"]), int(entry["cols"])
-        nbytes = rows * cols * 8
-        raw = buf.read(nbytes)
-        if len(raw) != nbytes:
-            raise FormatError(f"truncated payload for tensor {entry['name']!r}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
-        require_finite(arr, f"tensor {entry['name']!r}")
+        rows, cols = entry["rows"], entry["cols"]
+        arr = np.frombuffer(buf.read(rows * cols * 8), dtype="<f8").astype(np.float64).reshape(rows, cols)
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"tensor {entry['name']!r} contains non-finite entries")
         tensors[entry["name"]] = arr
-    if buf.read(1):
-        raise FormatError("trailing bytes after tensor payload")
     return version, meta, tensors
 
 

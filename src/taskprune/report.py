@@ -79,16 +79,6 @@ def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
             fh.write(f"{p.level!r},{p.compression!r},{p.accuracy!r}\n")
 
 
-def read_sweep_csv(path) -> list[SweepPoint]:
-    points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            level, comp, acc = line.strip().split(",")
-            points.append(SweepPoint(float(level), float(comp), float(acc)))
-    return points
-
-
 def retention_tables(
     vector: PruningVector, model: ModelWeights
 ) -> tuple[list[dict], dict[int, float], dict[str, float]]:

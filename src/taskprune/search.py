@@ -53,6 +53,13 @@ class TaskSpec:
         if self.mode is TaskMode.EXACT_MATCH:
             if self.expected is None or len(self.expected) != len(self.prompts):
                 raise ValueError("EXACT_MATCH needs one expected string per prompt")
+            for i, e in enumerate(self.expected):
+                # a decode never holds more than max_new_tokens bytes
+                if len(e.partition(bytes([STOP_BYTE]))[0]) > self.max_new_tokens:
+                    raise ValueError(
+                        f"expected string {i} is longer than max_new_tokens "
+                        f"({self.max_new_tokens}) and can never match"
+                    )
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.max_new_tokens < 1:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 import taskprune as tp
+from taskprune import search
 from taskprune.cli import _write_json, main
 from taskprune.linalg import derive_rng
 from taskprune.search import TaskMode, TaskSpec, save_task
@@ -147,6 +149,16 @@ class TestErrorPaths:
         bad.write_bytes(b"garbage")
         code = run(["eval", "--model", bad, "--task", workdir / "task.json"])
         assert code == 3
+        # a manifest entry declaring a 2^40-row tensor
+        raw = (workdir / "model.siev").read_bytes()
+        meta_len = struct.unpack("<Q", raw[8:16])[0]
+        meta = json.loads(raw[16:16 + meta_len])
+        meta["tensors"][0]["rows"] = 2**40
+        meta_bytes = json.dumps(meta).encode()
+        bad.write_bytes(raw[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+                        + raw[16 + meta_len:])
+        code = run(["eval", "--model", bad, "--task", workdir / "task.json"])
+        assert code == 3
 
     def test_corpus_too_small(self, workdir, tmp_path):
         code = run(["capture", "--model", workdir / "model.siev",
@@ -189,6 +201,23 @@ class TestErrorPaths:
         run_doc = json.loads((tmp_path / "run" / "run.json").read_text())
         assert run_doc["feasible"] is False
         assert run_doc["best_indices"] == [0] * 8
+
+    def test_unmatchable_task_exits_3_before_decoding(self, workdir, tmp_path, monkeypatch, capsys):
+        task = json.loads((workdir / "task.json").read_text())
+        task.update(mode="exact_match", expected=["abcd"] * len(task["prompts"]))
+        (tmp_path / "task.json").write_text(json.dumps(task))
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded before the task was validated")
+
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        code = run(["search", "--mode", "ga",
+                    "--model", workdir / "model.siev",
+                    "--cache", workdir / "cache.siev",
+                    "--task", tmp_path / "task.json",
+                    "--out", tmp_path / "run"])
+        assert code == 3
+        assert "can never match" in capsys.readouterr().err
 
     def test_failed_dump_keeps_earlier_run_json(self, tmp_path):
         path = tmp_path / "run.json"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from taskprune.linalg import (
     AdamState,
     adam_step,
-    as_matrix,
     derive_rng,
     frobenius_norm,
     frobenius_rel_error,
@@ -153,15 +152,6 @@ class TestFrobenius:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             frobenius_rel_error(np.zeros((2, 2)), np.zeros((3, 2)))
-
-
-def test_as_matrix_validates():
-    with pytest.raises(ValueError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        as_matrix([[np.inf, 0.0]])
-    m = as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.float64
 
 
 def test_derive_rng_reproducible_and_keyed():

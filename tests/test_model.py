@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import io
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import taskprune as tp
-from taskprune.calibrate import PruningVector, assemble
+from taskprune.calibrate import PruningVector, assemble, cache_to_bytes
 from taskprune.linalg import derive_rng, frobenius_rel_error
 from taskprune.model import (
     LN_EPS,
@@ -16,11 +20,14 @@ from taskprune.model import (
     SiteId,
     SiteKind,
     _attention,
+    _head,
+    _transformer,
     detokenize,
     forward,
     greedy_decode_batch,
     layer_norm,
     model_to_bytes,
+    read_container,
     site_dims,
     sites,
     tokenize,
@@ -319,6 +326,38 @@ class TestGreedyDecode:
         batch = greedy_decode_batch(pruned, prompts, 4)
         assert batch == [forward_decode(pruned, p, 4) for p in prompts]
 
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_full_context_matches_forward_oracle(self, tiny_model, tiny_cache, pruned):
+        # mixed prompt lengths in one call, the longest filling the context
+        # with its max_new tokens, so the decode reaches the last offset
+        model = tiny_model
+        if pruned:
+            model = assemble(tiny_model, PruningVector((2, 0, 4, 1, 0, 3, 9, 5),
+                                                       tiny_cache.factor_set), tiny_cache)
+        max_new = 4
+        longest = tiny_model.config.max_seq_len - max_new
+        rng = derive_rng(42)
+        prompts = [rng.integers(1, 256, size=n).tolist() for n in (longest, 1, longest, 17, 5)]
+        batch = greedy_decode_batch(model, prompts, max_new)
+        assert batch == [forward_decode(model, p, max_new) for p in prompts]
+
+    def test_incremental_pass_matches_full_pass(self, tiny_model):
+        # the prompt block, then one row per step, through the K/V cache
+        rng = derive_rng(43)
+        max_len = tiny_model.config.max_seq_len
+        ids = rng.integers(0, 256, size=(3, max_len))
+        full = _head(tiny_model, _transformer(tiny_model, ids)[0])
+        cache: list = []
+        steps = [_transformer(tiny_model, ids[:, :9], cache=cache)[0]]
+        steps += [_transformer(tiny_model, ids[:, t:t + 1], cache=cache)[0]
+                  for t in range(9, max_len)]
+        incremental = _head(tiny_model, np.concatenate(steps, axis=1))
+        np.testing.assert_allclose(incremental, full, rtol=0, atol=1e-12)
+        d = tiny_model.config.d_model
+        assert [kv.shape for kv in cache] == [(3, max_len, 2 * d)] * tiny_model.config.n_layers
+        with pytest.raises(ValueError, match="overflow"):
+            _transformer(tiny_model, ids[:, :1], cache=cache)
+
     def test_batch_validates(self, tiny_model):
         with pytest.raises(ValueError):
             greedy_decode_batch(tiny_model, [[1, 2], []], 2)
@@ -370,6 +409,103 @@ class TestPersistence:
         assert tp.model_fingerprint(tiny_model) == tp.model_fingerprint(tiny_model)
         other = tp.random_model(tiny_model.config, seed=12345)
         assert tp.model_fingerprint(other) != tp.model_fingerprint(tiny_model)
+
+
+def _rewrite_meta(raw: bytes, edit) -> bytes:
+    """The container `raw` with its metadata passed through `edit`; the
+    payload bytes are kept as they are."""
+    meta_len = struct.unpack("<Q", raw[8:16])[0]
+    meta = json.loads(raw[16:16 + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta).encode()
+    return raw[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes + raw[16 + meta_len:]
+
+
+class Container:
+    """A real container's bytes and its loader, which reads from a path."""
+
+    def __init__(self, raw: bytes, loader, path):
+        self.raw, self.loader, self.path = raw, loader, path
+
+    def __repr__(self) -> str:
+        return f"Container({self.path.name})"
+
+    def load(self, raw: bytes):
+        self.path.write_bytes(raw)
+        return self.loader(self.path)
+
+
+@pytest.fixture(scope="module")
+def containers(tiny_model, tiny_cache, tmp_path_factory):
+    root = tmp_path_factory.mktemp("siev")
+    return {
+        "model": Container(model_to_bytes(tiny_model), tp.load_model, root / "model.siev"),
+        "cache": Container(cache_to_bytes(tiny_cache), tp.load_cache, root / "cache.siev"),
+    }
+
+
+KINDS = st.sampled_from(["model", "cache"])
+BAD_DIM = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=2**40),
+    st.floats(),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+SMALL_DIM = st.integers(0, 8)
+
+
+class TestContainerFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=KINDS, data=st.data())
+    def test_every_truncation_raises(self, containers, kind, data):
+        raw = containers[kind].raw
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(FormatError):
+            containers[kind].load(raw[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=KINDS, data=st.data())
+    def test_header_or_metadata_mutation_loads_or_raises_format_error(self, containers, kind, data):
+        raw = bytearray(containers[kind].raw)
+        meta_end = 16 + struct.unpack("<Q", raw[8:16])[0]
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw[data.draw(st.integers(0, meta_end - 1))] = data.draw(st.integers(0, 255))
+        try:
+            containers[kind].load(bytes(raw))
+        except FormatError:
+            pass
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=KINDS, index=st.integers(0, 5),
+           dims=st.one_of(st.tuples(BAD_DIM, SMALL_DIM), st.tuples(SMALL_DIM, BAD_DIM),
+                          st.tuples(BAD_DIM, BAD_DIM)))
+    @example(kind="model", index=0, dims=(-1, -1))
+    @example(kind="model", index=0, dims=(-1, 8))
+    @example(kind="model", index=0, dims=(2**40, 1))
+    def test_malformed_dims_raise_format_error(self, containers, kind, index, dims):
+        def edit(meta):
+            meta["tensors"][index].update(rows=dims[0], cols=dims[1])
+
+        raw = _rewrite_meta(containers[kind].raw, edit)
+        with pytest.raises(FormatError):
+            read_container(io.BytesIO(raw))
+        with pytest.raises(FormatError):
+            containers[kind].load(raw)
+
+    @pytest.mark.parametrize("name", [7, None, ["embed"]])
+    def test_non_string_name_raises_format_error(self, tiny_model, name):
+        def edit(meta):
+            meta["tensors"][1]["name"] = name
+
+        with pytest.raises(FormatError, match="malformed"):
+            read_container(io.BytesIO(_rewrite_meta(model_to_bytes(tiny_model), edit)))
+
+    def test_non_finite_payload_raises_format_error(self, tiny_model):
+        raw = model_to_bytes(tiny_model)[:-8] + struct.pack("<d", math.nan)
+        with pytest.raises(FormatError, match="non-finite"):
+            read_container(io.BytesIO(raw))
 
 
 class TestAccounting:

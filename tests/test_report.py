@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -16,7 +17,6 @@ from taskprune.report import (
     build_report,
     calibration_sweep,
     emit_report,
-    read_sweep_csv,
     retention_tables,
     sweep_uniform,
     write_calibration_csv,
@@ -36,7 +36,9 @@ class TestSweepUniform:
         points = sweep_uniform(tiny_model, tiny_cache, tiny_task, level_indices=[0, 4, 9])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(points, path)
-        replayed = read_sweep_csv(path)
+        with open(path, newline="") as fh:
+            replayed = [SweepPoint(float(r["level"]), float(r["compression"]), float(r["accuracy"]))
+                        for r in csv.DictReader(fh)]
         assert replayed == points
         # replaying the evaluations from the CSV matches fresh evaluations
         ev = make_eval_fn(tiny_model, tiny_cache, tiny_task)

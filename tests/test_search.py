@@ -44,6 +44,12 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec(TaskMode.BASELINE_AGREEMENT, [b"a"], None, 0, 0.1)
 
+    def test_expected_longer_than_max_new_rejected(self):
+        with pytest.raises(ValueError, match="can never match"):
+            TaskSpec(TaskMode.EXACT_MATCH, [b"a", b"b"], [b"xyz", b"xyzw"], 3, 0.05)
+        # the expected string counts only up to the stop byte
+        TaskSpec(TaskMode.EXACT_MATCH, [b"a", b"b"], [b"xyz", b"xyz\x00tail"], 3, 0.05)
+
     def test_json_round_trip(self, tmp_path):
         task = TaskSpec(TaskMode.EXACT_MATCH, [b"hello", b"there"],
                         [b"yes", b"no"], 6, 0.05)
@@ -77,7 +83,7 @@ class TestEvaluate:
         for i, d in enumerate(decodes):
             text = bytes(d)
             if i % 2 == 1:
-                text = text + b"\x01"  # deliberately wrong
+                text = text[:-1] + bytes([text[-1] % 255 + 1])  # deliberately wrong
             expected.append(text)
         task = TaskSpec(TaskMode.EXACT_MATCH, prompts, expected, 3, 0.0)
         res = evaluate(tiny_model, task)
