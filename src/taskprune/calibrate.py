@@ -474,15 +474,18 @@ def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:
         _, meta, tensors = read_container(fh, expected_version=CAPTURE_VERSION)
     if meta.get("kind") != "capture":
         raise FormatError(f"not a capture file: kind={meta.get('kind')!r}")
-    config = TransformerConfig.from_dict(meta["config"])
-    entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
-    for i, row in enumerate(meta["sites"]):
-        site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
-        entries[site] = (tensors[f"s{i}.x"], tensors[f"s{i}.y"])
-    capture = ActivationCapture(
-        entries=entries,
-        tokens=int(meta["tokens"]),
-        model_fingerprint=str(meta["model_fingerprint"]),
-        corpus_fingerprint=str(meta["corpus_fingerprint"]),
-    )
+    try:
+        config = TransformerConfig.from_dict(meta["config"])
+        entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
+        for i, row in enumerate(meta["sites"]):
+            site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
+            entries[site] = (tensors[f"s{i}.x"], tensors[f"s{i}.y"])
+        capture = ActivationCapture(
+            entries=entries,
+            tokens=int(meta["tokens"]),
+            model_fingerprint=str(meta["model_fingerprint"]),
+            corpus_fingerprint=str(meta["corpus_fingerprint"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad capture metadata: {exc}") from exc
     return capture, config

@@ -7,6 +7,7 @@ threshold), 3 input/format error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -100,7 +101,7 @@ def _load_run_inputs(args):
     cache = load_cache(args.cache)
     task = load_task(args.task)
     if args.epsilon is not None:
-        task.epsilon = args.epsilon
+        task = dataclasses.replace(task, epsilon=args.epsilon)
     return model, cache, task
 
 

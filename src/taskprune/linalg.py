@@ -1,22 +1,18 @@
 """Minimal dense linear-algebra kernel.
 
-Everything operates on 2-D float64 numpy arrays ("matrices"). The SVD is a
-one-sided Jacobi implementation: deterministic, accurate to machine
-precision at the small sizes this package works with, and free of any
-LAPACK-version dependence in test fixtures.
+Everything operates on 2-D float64 numpy arrays ("matrices"). The SVD is
+LAPACK's, through ``np.linalg.svd``, with each singular pair sign-fixed, so
+a result is deterministic for one numpy/BLAS build; another build may
+differ in the last bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 Matrix = np.ndarray
-
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 
 def require_finite(m: np.ndarray, what: str = "array") -> None:
@@ -59,58 +55,6 @@ class SvdResult:
         return SvdResult(self.u[:, :r].copy(), self.sigma[:r].copy(), self.vt[:r, :].copy())
 
 
-def _jacobi_onesided(a: Matrix) -> tuple[Matrix, np.ndarray, Matrix]:
-    """Full SVD of a tall-or-square matrix by Hestenes one-sided Jacobi.
-
-    Returns (u, sigma, v) with a = u @ diag(sigma) @ v.T, sigma descending.
-    Columns of u belonging to zero singular values are left as zeros.
-    """
-    u = np.array(a, dtype=np.float64, copy=True)
-    n = u.shape[1]
-    v = np.eye(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                gamma = float(u[:, i] @ u[:, j])
-                if gamma == 0.0:
-                    continue
-                alpha = float(u[:, i] @ u[:, i])
-                beta = float(u[:, j] @ u[:, j])
-                denom = math.sqrt(alpha * beta)
-                if denom == 0.0:
-                    continue
-                rel = abs(gamma) / denom
-                off = max(off, rel)
-                if rel <= _JACOBI_TOL:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                ui = c * u[:, i] - s * u[:, j]
-                uj = s * u[:, i] + c * u[:, j]
-                u[:, i], u[:, j] = ui, uj
-                vi = c * v[:, i] - s * v[:, j]
-                vj = s * v[:, i] + c * v[:, j]
-                v[:, i], v[:, j] = vi, vj
-        if off <= _JACOBI_TOL:
-            break
-    sigma = np.sqrt(np.sum(u * u, axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u = u[:, order]
-    v = v[:, order]
-    cutoff = sigma[0] * 1e-15 if sigma.size and sigma[0] > 0 else 0.0
-    for k in range(n):
-        if sigma[k] > cutoff:
-            u[:, k] /= sigma[k]
-        else:
-            sigma[k] = 0.0
-            u[:, k] = 0.0
-    return u, sigma, v
-
-
 def _fix_signs(u: Matrix, vt: Matrix) -> None:
     # First nonzero component of each left singular vector made positive;
     # zero columns fall back to the right vector so the result stays unique.
@@ -136,13 +80,12 @@ def truncated_svd(m: Matrix, r: int) -> SvdResult:
     k = min(m.shape)
     if not 1 <= r <= k:
         raise ValueError(f"rank {r} out of range [1, {k}] for shape {m.shape}")
-    if m.shape[1] <= m.shape[0]:
-        u, sigma, v = _jacobi_onesided(m)
-        vt = np.ascontiguousarray(v.T)
-    else:
-        u2, sigma, v2 = _jacobi_onesided(m.T)
-        u = v2
-        vt = np.ascontiguousarray(u2.T)
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    # sigma at or below sigma_0 * 1e-15 is rounding noise: make it exactly 0
+    # and its u column exactly 0, so rank deficiency is exact downstream
+    tail = sigma <= sigma[0] * 1e-15
+    sigma[tail] = 0.0
+    u[:, tail] = 0.0
     _fix_signs(u, vt)
     return SvdResult(u, sigma, vt).top(r)
 

@@ -42,6 +42,17 @@ def run(argv) -> int:
     return main([str(a) for a in argv])
 
 
+def rewrite_metadata(src, dst, edit) -> None:
+    """Copy a SIEV container, applying edit(meta) to its JSON metadata."""
+    raw = src.read_bytes()
+    meta_len = struct.unpack("<Q", raw[8:16])[0]
+    meta = json.loads(raw[16:16 + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta).encode()
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+                    + raw[16 + meta_len:])
+
+
 class TestPipeline:
     def test_capture(self, workdir):
         code = run(["capture", "--model", workdir / "model.siev",
@@ -150,15 +161,21 @@ class TestErrorPaths:
         code = run(["eval", "--model", bad, "--task", workdir / "task.json"])
         assert code == 3
         # a manifest entry declaring a 2^40-row tensor
-        raw = (workdir / "model.siev").read_bytes()
-        meta_len = struct.unpack("<Q", raw[8:16])[0]
-        meta = json.loads(raw[16:16 + meta_len])
-        meta["tensors"][0]["rows"] = 2**40
-        meta_bytes = json.dumps(meta).encode()
-        bad.write_bytes(raw[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
-                        + raw[16 + meta_len:])
+        rewrite_metadata(workdir / "model.siev", bad,
+                         lambda meta: meta["tensors"][0].update(rows=2**40))
         code = run(["eval", "--model", bad, "--task", workdir / "task.json"])
         assert code == 3
+
+    def test_bad_capture_metadata(self, workdir, tmp_path, capsys):
+        cap = tmp_path / "cap.siev"
+        assert run(["capture", "--model", workdir / "model.siev",
+                    "--corpus", workdir / "corpus.bin",
+                    "--tokens", "600", "--out", cap]) == 0
+        rewrite_metadata(cap, cap, lambda meta: meta.update(tokens=None))
+        code = run(["cache", "--model", workdir / "model.siev",
+                    "--capture", cap, "--out", tmp_path / "cache.siev"])
+        assert code == 3
+        assert "bad capture metadata" in capsys.readouterr().err
 
     def test_corpus_too_small(self, workdir, tmp_path):
         code = run(["capture", "--model", workdir / "model.siev",
@@ -218,6 +235,25 @@ class TestErrorPaths:
                     "--out", tmp_path / "run"])
         assert code == 3
         assert "can never match" in capsys.readouterr().err
+
+    def test_bad_epsilon_exits_3_before_decoding(self, workdir, tmp_path, monkeypatch, capsys):
+        calls = []
+        real_decode = search.greedy_decode_batch
+
+        def counting_decode(*args, **kwargs):
+            calls.append(1)
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(search, "greedy_decode_batch", counting_decode)
+        code = run(["search", "--mode", "ga",
+                    "--model", workdir / "model.siev",
+                    "--cache", workdir / "cache.siev",
+                    "--task", workdir / "task.json",
+                    "--epsilon", "1.5",
+                    "--out", tmp_path / "run"])
+        assert code == 3
+        assert calls == []
+        assert "epsilon must lie in [0, 1)" in capsys.readouterr().err
 
     def test_failed_dump_keeps_earlier_run_json(self, tmp_path):
         path = tmp_path / "run.json"

@@ -55,14 +55,25 @@ class TestTruncatedSvd:
         assert np.all(res.sigma >= 0)
 
     def test_deterministic_and_sign_fixed(self):
-        m = derive_rng(9).normal(size=(8, 5))
-        a = truncated_svd(m, 3)
-        b = truncated_svd(m, 3)
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.vt, b.vt)
-        for k in range(3):
-            first_nonzero = a.u[np.abs(a.u[:, k]) > 1e-12, k][0]
-            assert first_nonzero > 0
+        for shape in [(8, 5), (5, 8)]:
+            m = derive_rng(9).normal(size=shape)
+            a = truncated_svd(m, 3)
+            b = truncated_svd(m, 3)
+            assert np.array_equal(a.u, b.u)
+            assert np.array_equal(a.vt, b.vt)
+            for k in range(3):
+                first_nonzero = a.u[np.abs(a.u[:, k]) > 1e-12, k][0]
+                assert first_nonzero > 0
+
+    def test_beyond_rank_is_exactly_zero(self):
+        rng = derive_rng(14)
+        low = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 4))
+        for m, rank in [(low, 2), (low.T, 2), (np.zeros((3, 5)), 0)]:
+            res = truncated_svd(m, min(m.shape))
+            assert np.all(res.sigma[:rank] > 0)
+            assert not np.any(res.sigma[rank:])
+            assert not np.any(res.u[:, rank:])
+            assert frobenius_norm(m - res.reconstruct()) <= 1e-12 * max(1.0, frobenius_norm(m))
 
     def test_eckart_young_beats_random_candidates(self):
         rng = derive_rng(10)
