@@ -10,6 +10,8 @@ from .calibrate import (
     build_cache,
     capture_calibration,
     compression_ratio,
+    count_params,
+    estimate_flops_per_token,
     load_cache,
     load_capture,
     save_cache,
@@ -37,8 +39,6 @@ from .model import (
     SiteId,
     SiteKind,
     TransformerConfig,
-    count_params,
-    estimate_flops_per_token,
     forward,
     greedy_decode_batch,
     load_model,
@@ -66,7 +66,6 @@ from .search import (
     binary_search_uniform,
     bottleneck_analysis,
     evaluate,
-    fitness,
     fitness_from_compression,
     ga_search,
     load_task,

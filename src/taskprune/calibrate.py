@@ -38,13 +38,16 @@ from .model import (
     SiteId,
     SiteKind,
     TransformerConfig,
+    _mat,
     _transformer,
+    check_schema,
     forward,  # noqa: F401 - perfbench/spans.py traces it under this module
     model_fingerprint,
     read_container,
     site_dims,
     sites,
     tokenize,
+    write_atomic,
     write_container,
 )
 
@@ -105,9 +108,6 @@ class PruningVector:
     def levels(self) -> tuple[float, ...]:
         return tuple(self.factor_set[i] for i in self.indices)
 
-    def is_all_ones(self) -> bool:
-        return all(i == 0 for i in self.indices)
-
     @classmethod
     def uniform(cls, factor_set: FactorSet, n_sites: int, level_index: int) -> "PruningVector":
         return cls((level_index,) * n_sites, factor_set)
@@ -125,6 +125,7 @@ class PruningVector:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PruningVector":
+        check_schema(d, "taskprune-pruning-v1")
         return cls(tuple(int(i) for i in d["indices"]),
                    FactorSet(tuple(float(x) for x in d["factor_set"])))
 
@@ -320,20 +321,46 @@ def assemble(model: ModelWeights, vector: PruningVector, cache: AdapterCache) ->
     return PrunedModel(base=model, adapters=adapters, vector=vector)
 
 
-def retained_site_params(vector: PruningVector, model: ModelWeights) -> int:
+def _site_params(config: TransformerConfig, levels: Sequence[float] | None) -> int:
+    """Parameters the prunable sites keep at per-site retention `levels`
+    (all dense when None): d_in*d_out for a dense site, R*(d_in+d_out) for
+    a site of rank R from the pruning-factor formula."""
+    site_list = sites(config)
+    if levels is None:
+        levels = (1.0,) * len(site_list)
+    if len(levels) != len(site_list):
+        raise ValueError("levels length must equal the site count")
     total = 0
-    for site, level in zip(sites(model.config), vector.levels()):
-        d_in, d_out = site_dims(model.config, site)
+    for site, level in zip(site_list, levels):
+        d_in, d_out = site_dims(config, site)
         rank, _ = rank_for_factor(level, d_in, d_out)
         total += d_in * d_out if rank is None else rank * (d_in + d_out)
     return total
 
 
-def compression_ratio(vector: PruningVector, model: ModelWeights) -> float:
+def retained_site_params(vector: PruningVector, config: TransformerConfig) -> int:
+    return _site_params(config, vector.levels())
+
+
+def compression_ratio(vector: PruningVector, config: TransformerConfig) -> float:
     """Fraction of prunable parameters removed (higher = more compressed)."""
-    dense = sum(d_in * d_out for d_in, d_out in
-                (site_dims(model.config, s) for s in sites(model.config)))
-    return 1.0 - retained_site_params(vector, model) / dense
+    return 1.0 - retained_site_params(vector, config) / _site_params(config, None)
+
+
+def count_params(config: TransformerConfig) -> int:
+    """Every parameter of the model: prunable sites, embeddings, biases, norms."""
+    d = config.d_model
+    return (_site_params(config, None)
+            + (2 * config.vocab_size + config.max_seq_len) * d  # embed, unembed, positions
+            + config.n_layers * (config.d_ff + d)               # FFN biases
+            + config.n_layers * 4 * d                           # two LayerNorm pairs
+            + 2 * d)                                            # final LayerNorm
+
+
+def estimate_flops_per_token(config: TransformerConfig, levels: Sequence[float] | None = None) -> int:
+    """Multiply-add count of the prunable matmuls for one token at per-site
+    retention `levels` (dense when None): two per retained site parameter."""
+    return 2 * _site_params(config, levels)
 
 
 # --- persistence ----------------------------------------------------------
@@ -387,8 +414,7 @@ def cache_to_bytes(cache: AdapterCache) -> bytes:
 
 
 def save_cache(cache: AdapterCache, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(cache_to_bytes(cache))
+    write_atomic(path, cache_to_bytes(cache))
 
 
 def load_cache(path) -> AdapterCache:
@@ -416,10 +442,14 @@ def load_cache(path) -> AdapterCache:
                 entries[(site, fi)] = None
                 flagged[(site, fi)] = str(row.get("reason", ""))
                 continue
+            d_in, d_out = site_dims(config, site)
+            rank = int(row["rank"])
+            if not 1 <= rank < min(d_in, d_out):
+                raise FormatError(f"{site} has rank {rank}, outside [1, {min(d_in, d_out) - 1}]")
             fm = FactorizedMatrix(
-                b=tensors[f"e{i}.b"],
-                c=tensors[f"e{i}.c"],
-                rank=int(row["rank"]),
+                b=_mat(tensors, f"e{i}.b", d_out, rank),
+                c=_mat(tensors, f"e{i}.c", rank, d_in),
+                rank=rank,
                 method=Method(row["method"]),
                 calib_error=float(row["calib_error"]),
                 achieved_factor=float(row["achieved_factor"]),
@@ -465,8 +495,7 @@ def capture_to_bytes(capture: ActivationCapture, config: TransformerConfig) -> b
 
 
 def save_capture(capture: ActivationCapture, config: TransformerConfig, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(capture_to_bytes(capture, config))
+    write_atomic(path, capture_to_bytes(capture, config))
 
 
 def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:

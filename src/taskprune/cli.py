@@ -17,16 +17,25 @@ from .calibrate import (
     CorpusTooSmallError,
     CacheMismatchError,
     FactorizeOptions,
+    FactorSet,
     PruningVector,
     assemble,
     build_cache,
     capture_calibration,
+    compression_ratio,
     load_cache,
     load_capture,
     save_cache,
     save_capture,
 )
-from .model import FormatError, load_model, model_fingerprint, sites
+from .model import (
+    FormatError,
+    TransformerConfig,
+    check_schema,
+    load_model,
+    model_fingerprint,
+    write_atomic,
+)
 from .report import (
     build_report,
     calibration_sweep,
@@ -55,13 +64,7 @@ log = logging.getLogger("taskprune")
 
 
 def _write_json(obj: dict, path) -> None:
-    """Write via `<path>.partial` and rename, so a failed dump never leaves
-    a truncated file in place of an earlier one."""
-    partial = f"{path}.partial"
-    with open(partial, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(partial, path)
+    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _read_corpus(path) -> bytes:
@@ -87,9 +90,10 @@ def cmd_capture(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    opts = _factorize_opts(args)
     model = load_model(args.model)
     capture, _ = load_capture(args.capture)
-    cache = build_cache(model, capture, opts=_factorize_opts(args), workers=args.workers)
+    cache = build_cache(model, capture, opts=opts, workers=args.workers)
     save_cache(cache, args.out)
     print(f"built {cache.built_entries()} adapter entries -> {args.out} "
           f"(fingerprint {cache.fingerprint()[:12]})")
@@ -148,13 +152,8 @@ def cmd_search(args) -> int:
     run.update(extra)
     _write_json(run, os.path.join(args.out, "run.json"))
     print(f"mode={args.mode} accuracy={accuracy:.4f} a0={a0:.4f} "
-          f"compression={_compression(best_vector, model):.4f} feasible={feasible}")
+          f"compression={compression_ratio(best_vector, model.config):.4f} feasible={feasible}")
     return EXIT_OK if feasible else EXIT_INFEASIBLE
-
-
-def _compression(vector, model) -> float:
-    from .calibrate import compression_ratio
-    return compression_ratio(vector, model)
 
 
 def cmd_eval(args) -> int:
@@ -179,17 +178,12 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     with open(os.path.join(args.run, "run.json"), "r", encoding="utf-8") as fh:
         run = json.load(fh)
-    from .calibrate import FactorSet
-    from .model import TransformerConfig, random_model
-
-    config = TransformerConfig.from_dict(run["config"])
+    check_schema(run, "taskprune-run-v1")
     factor_set = FactorSet(tuple(float(x) for x in run["factor_set"]))
     vector = PruningVector(tuple(int(i) for i in run["best_indices"]), factor_set)
     history = read_history(os.path.join(args.run, run["history"]))
-    # retention/FLOP accounting only needs the shapes, not the weights
-    shape_model = random_model(config, seed=0)
     report = build_report(
-        model=shape_model,
+        model=TransformerConfig.from_dict(run["config"]),
         vector=vector,
         mode=run["mode"],
         a_star=float(run["a_star"]),

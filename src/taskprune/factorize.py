@@ -81,6 +81,9 @@ class FactorizeOptions:
             raise ValueError("epochs must be >= 1")
         if self.batch_tokens < 1:
             raise ValueError("batch_tokens must be >= 1")
+        # written so that NaN fails too
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 @dataclass

@@ -47,9 +47,6 @@ class SvdResult:
     sigma: np.ndarray
     vt: Matrix
 
-    def reconstruct(self) -> Matrix:
-        return (self.u * self.sigma) @ self.vt
-
     def top(self, r: int) -> "SvdResult":
         """The leading r triplets, copied out of this decomposition."""
         return SvdResult(self.u[:, :r].copy(), self.sigma[:r].copy(), self.vt[:r, :].copy())

@@ -15,15 +15,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .factorize import rank_for_factor
 from .linalg import Matrix, derive_rng
 
 VOCAB_SIZE = 256
@@ -38,6 +38,13 @@ CAPTURE_VERSION = 3
 
 class FormatError(ValueError):
     """Raised for malformed container files."""
+
+
+def check_schema(doc, expected: str) -> None:
+    """Reject a JSON document whose `schema` tag is missing or not `expected`."""
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != expected:
+        raise FormatError(f"expected schema {expected!r}, found {found!r}")
 
 
 class SiteKind(str, Enum):
@@ -220,10 +227,6 @@ def tokenize(data: bytes | str) -> list[int]:
     return list(data)
 
 
-def detokenize(tokens: Iterable[int]) -> bytes:
-    return bytes(int(t) for t in tokens)
-
-
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
@@ -393,47 +396,6 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int) -
     return results
 
 
-def count_params(model: ModelWeights, sites_only: bool = False) -> int:
-    config = model.config
-    total = sum(d_in * d_out for d_in, d_out in
-                (site_dims(config, s) for s in sites(config)))
-    if sites_only:
-        return total
-    d = config.d_model
-    total += model.embed.size + model.pos_embed.size + model.unembed.size
-    total += config.n_layers * (config.d_ff + d)      # FFN biases
-    total += config.n_layers * 4 * d                  # two LayerNorm pairs
-    total += 2 * d                                    # final LayerNorm
-    return total
-
-
-def estimate_flops_per_token(
-    model: ModelWeights, pruning_levels: Sequence[float] | None = None
-) -> int:
-    """Multiply-add count of the prunable matmuls for one token.
-
-    A dense site costs 2*d_in*d_out; a site at retention level p < 1 costs
-    2*R*(d_in+d_out) with R from the pruning-factor formula. Accepts either
-    a sequence of per-site retention levels or a PruningVector.
-    """
-    config = model.config
-    site_list = sites(config)
-    if pruning_levels is not None and hasattr(pruning_levels, "levels"):
-        pruning_levels = pruning_levels.levels()
-    if pruning_levels is not None and len(pruning_levels) != len(site_list):
-        raise ValueError("pruning_levels length must equal the site count")
-    total = 0
-    for i, site in enumerate(site_list):
-        d_in, d_out = site_dims(config, site)
-        level = 1.0 if pruning_levels is None else float(pruning_levels[i])
-        rank, _ = rank_for_factor(level, d_in, d_out)
-        if rank is None:
-            total += 2 * d_in * d_out
-        else:
-            total += 2 * rank * (d_in + d_out)
-    return total
-
-
 # --- SIEV container -------------------------------------------------------
 
 def write_container(buf, version: int, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> None:
@@ -540,9 +502,17 @@ def model_to_bytes(model: ModelWeights) -> bytes:
     return buf.getvalue()
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write via `<path>.partial` and rename, so a failed write never leaves
+    a truncated file in place of an earlier one. Serialise before calling."""
+    partial = f"{path}.partial"
+    with open(partial, "wb") as fh:
+        fh.write(data)
+    os.replace(partial, path)
+
+
 def save_model(model: ModelWeights, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_to_bytes(model))
+    write_atomic(path, model_to_bytes(model))
 
 
 def _vec(tensors: dict[str, np.ndarray], name: str, size: int) -> np.ndarray:

@@ -20,17 +20,11 @@ from .calibrate import (
     build_cache,
     capture_calibration,
     compression_ratio,
-    retained_site_params,
-)
-from .factorize import FactorizeOptions, rank_for_factor
-from .model import (
-    KIND_ORDER,
-    ModelWeights,
     count_params,
     estimate_flops_per_token,
-    site_dims,
-    sites,
 )
+from .factorize import FactorizeOptions, rank_for_factor
+from .model import KIND_ORDER, ModelWeights, TransformerConfig, site_dims, sites
 from .search import (
     EvalFn,
     EvalRecord,
@@ -66,7 +60,7 @@ def sweep_uniform(
         res = ev(vec)
         points.append(SweepPoint(
             level=cache.factor_set[idx],
-            compression=compression_ratio(vec, model),
+            compression=compression_ratio(vec, cache.config),
             accuracy=res.accuracy,
         ))
     return points
@@ -80,12 +74,12 @@ def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
 
 
 def retention_tables(
-    vector: PruningVector, model: ModelWeights
+    vector: PruningVector, config: TransformerConfig
 ) -> tuple[list[dict], dict[int, float], dict[str, float]]:
     """Per-site achieved retention plus per-layer and per-kind means."""
     rows = []
-    for site, level in zip(sites(model.config), vector.levels()):
-        d_in, d_out = site_dims(model.config, site)
+    for site, level in zip(sites(config), vector.levels()):
+        d_in, d_out = site_dims(config, site)
         _, achieved = rank_for_factor(level, d_in, d_out)
         rows.append({
             "layer": site.layer,
@@ -94,7 +88,7 @@ def retention_tables(
             "retention": achieved,
         })
     per_layer: dict[int, float] = {}
-    for layer in range(model.config.n_layers):
+    for layer in range(config.n_layers):
         vals = [r["retention"] for r in rows if r["layer"] == layer]
         per_layer[layer] = sum(vals) / len(vals)
     per_kind: dict[str, float] = {}
@@ -185,7 +179,7 @@ class SearchReport:
 
 
 def build_report(
-    model: ModelWeights,
+    model: ModelWeights | TransformerConfig,
     vector: PruningVector,
     mode: str,
     a_star: float,
@@ -198,11 +192,14 @@ def build_report(
     history_file: str | None = None,
     feasible: bool = True,
 ) -> SearchReport:
-    per_site, per_layer, per_kind = retention_tables(vector, model)
-    comp = compression_ratio(vector, model)
-    total = count_params(model)
-    site_total = count_params(model, sites_only=True)
-    removed = site_total - retained_site_params(vector, model)
+    # the accounting needs only the shapes; perfbench/workloads.py passes
+    # the ModelWeights, the CLI the TransformerConfig from run.json
+    config = getattr(model, "config", model)
+    per_site, per_layer, per_kind = retention_tables(vector, config)
+    comp = compression_ratio(vector, config)
+    flops_dense = estimate_flops_per_token(config)
+    flops_pruned = estimate_flops_per_token(config, vector.levels())
+    removed = (flops_dense - flops_pruned) // 2     # two FLOPs per site parameter
     probs = flagged = None
     if history:
         probs, flagged = bottleneck_analysis(history)
@@ -217,14 +214,14 @@ def build_report(
         best_indices=vector.indices,
         factor_set=vector.factor_set.levels,
         compression=comp,
-        whole_model_compression=removed / total,
+        whole_model_compression=removed / count_params(config),
         per_site=per_site,
         per_layer=per_layer,
         per_kind=per_kind,
         bottleneck_probs=probs,
         bottleneck_sites=flagged,
-        flops_dense=estimate_flops_per_token(model),
-        flops_pruned=estimate_flops_per_token(model, vector.levels()),
+        flops_dense=flops_dense,
+        flops_pruned=flops_pruned,
         history_file=history_file,
         feasible=feasible,
     )

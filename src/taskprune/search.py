@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .calibrate import AdapterCache, PruningVector, assemble, compression_ratio
-from .model import STOP_BYTE, ModelWeights, greedy_decode_batch, sites, tokenize
+from .model import STOP_BYTE, ModelWeights, check_schema, greedy_decode_batch, sites, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +81,7 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskSpec":
+        check_schema(d, "taskprune-task-v1")
         expected = d.get("expected")
         return cls(
             mode=TaskMode(d["mode"]),
@@ -157,13 +158,6 @@ def fitness_from_compression(
     """F = c * (1 + e^{gain (a - a0)}), exponent clamped at +60 against overflow."""
     z = min(penalty_gain * (a - a0), FITNESS_EXP_CLAMP)
     return c * (1.0 + math.exp(z))
-
-
-def fitness(
-    vector: PruningVector, a: float, a0: float, model: ModelWeights,
-    penalty_gain: float = 50.0,
-) -> float:
-    return fitness_from_compression(compression_ratio(vector, model), a, a0, penalty_gain)
 
 
 # --- shared evaluation plumbing --------------------------------------------
@@ -282,7 +276,7 @@ def binary_search_uniform(
 
     def record(step: int, idx: int, res: EvalResult) -> None:
         vec = uniform(idx)
-        c = compression_ratio(vec, model)
+        c = compression_ratio(vec, model.config)
         history.append(EvalRecord(step, vec.indices, res.accuracy, c,
                                   fitness_from_compression(c, res.accuracy, a0)))
 
@@ -349,10 +343,6 @@ class Chromosome:
     accuracy: float | None = None
     compression: float | None = None
 
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
-
 
 @dataclass
 class GaResult:
@@ -417,7 +407,7 @@ def ga_search(
         def job(genes: tuple[int, ...]):
             vec = PruningVector(genes, factor_set)
             res = ev(vec)
-            c = compression_ratio(vec, model)
+            c = compression_ratio(vec, model.config)
             return genes, (res.accuracy, c,
                            fitness_from_compression(c, res.accuracy, a0, cfg.penalty_gain))
 

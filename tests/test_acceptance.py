@@ -246,7 +246,7 @@ def test_criterion_08_ga_vs_exhaustive(ga_fixture):
     for genes in itertools.product(range(3), repeat=8):
         vec = PruningVector(genes, cache.factor_set)
         res = ev(vec)
-        c = compression_ratio(vec, model)
+        c = compression_ratio(vec, model.config)
         best_fitness = max(best_fitness, fitness_from_compression(c, res.accuracy, a0))
 
     for seed in range(5):

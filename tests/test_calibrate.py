@@ -4,11 +4,13 @@ import copy
 import dataclasses
 import io
 import logging
+import os
 
 import numpy as np
 import pytest
 
 import taskprune as tp
+from taskprune import calibrate
 from taskprune.calibrate import (
     CacheMismatchError,
     CorpusTooSmallError,
@@ -67,8 +69,7 @@ class TestPruningVector:
     def test_levels_and_uniform(self):
         vec = PruningVector.uniform(DEFAULT_FACTOR_SET, 4, 3)
         assert vec.levels() == (0.6, 0.6, 0.6, 0.6)
-        assert not vec.is_all_ones()
-        assert PruningVector.all_ones(DEFAULT_FACTOR_SET, 4).is_all_ones()
+        assert PruningVector.all_ones(DEFAULT_FACTOR_SET, 4).indices == (0,) * 4
 
     def test_json_round_trip(self):
         vec = PruningVector((0, 2, 9, 5), DEFAULT_FACTOR_SET)
@@ -294,14 +295,14 @@ class TestAssemble:
 class TestCompression:
     def test_all_ones_is_zero(self, tiny_model):
         vec = PruningVector.all_ones(DEFAULT_FACTOR_SET, 8)
-        assert compression_ratio(vec, tiny_model) == 0.0
+        assert compression_ratio(vec, tiny_model.config) == 0.0
 
     def test_uniform_half_within_rank_step(self, tiny_model):
         vec = PruningVector.uniform(DEFAULT_FACTOR_SET, 8, DEFAULT_FACTOR_SET.index(0.5))
         cfg = tiny_model.config
         step = max((d_in + d_out) / (d_in * d_out)
                    for d_in, d_out in (site_dims(cfg, s) for s in sites(cfg)))
-        assert abs(compression_ratio(vec, tiny_model) - 0.5) <= step
+        assert abs(compression_ratio(vec, tiny_model.config) - 0.5) <= step
 
     def test_matches_brute_force_count(self, tiny_model):
         rng = derive_rng(61)
@@ -314,8 +315,8 @@ class TestCompression:
             dense += d_in * d_out
             rank, _ = rank_for_factor(level, d_in, d_out)
             retained += d_in * d_out if rank is None else rank * (d_in + d_out)
-        assert retained == retained_site_params(vec, tiny_model)
-        assert compression_ratio(vec, tiny_model) == pytest.approx(1 - retained / dense)
+        assert retained == retained_site_params(vec, tiny_model.config)
+        assert compression_ratio(vec, tiny_model.config) == pytest.approx(1 - retained / dense)
 
     def test_monotone_cost(self, tiny_model):
         rng = derive_rng(62)
@@ -326,8 +327,8 @@ class TestCompression:
             lowered = list(indices)
             lowered[site] += 1  # one step more aggressive
             low_vec = PruningVector(tuple(lowered), DEFAULT_FACTOR_SET)
-            assert (retained_site_params(low_vec, tiny_model)
-                    <= retained_site_params(base_vec, tiny_model))
+            assert (retained_site_params(low_vec, tiny_model.config)
+                    <= retained_site_params(base_vec, tiny_model.config))
 
 
 class TestCachePersistence:
@@ -366,6 +367,37 @@ class TestCachePersistence:
     def test_unflagged_rows_carry_no_reason(self, tiny_cache):
         assert not tiny_cache.flagged
         assert all("reason" not in row for row in manifest_rows(tiny_cache))
+
+    def test_failed_serialisation_keeps_earlier_file(self, tiny_cache, tmp_path, monkeypatch):
+        path = tmp_path / "cache.siev"
+        save_cache(tiny_cache, path)
+        before = path.read_bytes()
+
+        def broken(cache):
+            raise RuntimeError("serialiser failed")
+
+        monkeypatch.setattr(calibrate, "cache_to_bytes", broken)
+        with pytest.raises(RuntimeError):
+            save_cache(tiny_cache, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cache.siev"]
+
+    @pytest.mark.parametrize("defect", ["b_cols", "c_rows", "rank"])
+    def test_tensor_shapes_checked_against_site_dims(self, tiny_cache, tmp_path, defect):
+        site = sites(tiny_cache.config)[0]
+        d_in, d_out = site_dims(tiny_cache.config, site)
+        fm = tiny_cache.entries[(site, 1)]
+        if defect == "b_cols":
+            fm = dataclasses.replace(fm, b=fm.b[:, :1])
+        elif defect == "c_rows":
+            fm = dataclasses.replace(fm, c=fm.c[:1])
+        else:   # shapes agree with a rank no factorization can have
+            r = min(d_in, d_out)
+            fm = dataclasses.replace(fm, b=np.ones((d_out, r)), c=np.ones((r, d_in)), rank=r)
+        broken = dataclasses.replace(tiny_cache, entries={**tiny_cache.entries, (site, 1): fm})
+        save_cache(broken, tmp_path / "bad.siev")
+        with pytest.raises(tp.model.FormatError):
+            load_cache(tmp_path / "bad.siev")
 
     def test_wrong_kind_rejected(self, tiny_model, tmp_path):
         path = tmp_path / "model.siev"

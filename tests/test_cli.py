@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -40,6 +42,10 @@ def workdir(tmp_path_factory):
 
 def run(argv) -> int:
     return main([str(a) for a in argv])
+
+
+def no_decode(*args, **kwargs):
+    raise AssertionError("decoded before the inputs were validated")
 
 
 def rewrite_metadata(src, dst, edit) -> None:
@@ -223,10 +229,6 @@ class TestErrorPaths:
         task = json.loads((workdir / "task.json").read_text())
         task.update(mode="exact_match", expected=["abcd"] * len(task["prompts"]))
         (tmp_path / "task.json").write_text(json.dumps(task))
-
-        def no_decode(*args, **kwargs):
-            raise AssertionError("decoded before the task was validated")
-
         monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
         code = run(["search", "--mode", "ga",
                     "--model", workdir / "model.siev",
@@ -263,3 +265,61 @@ class TestErrorPaths:
         with pytest.raises(TypeError):
             _write_json({"accuracy": 0.5, "zz": {1, 2}}, path)
         assert path.read_bytes() == before
+
+    def test_bad_cache_shape_exits_3_before_decoding(self, workdir, tmp_path, monkeypatch, capsys):
+        cache = tp.load_cache(workdir / "cache.siev")
+        key = (tp.sites(cache.config)[0], 1)
+        fm = cache.entries[key]
+        cache.entries[key] = dataclasses.replace(fm, b=fm.b[:, :1])
+        tp.save_cache(cache, tmp_path / "cache.siev")
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        code = run(["search", "--mode", "up",
+                    "--model", workdir / "model.siev",
+                    "--cache", tmp_path / "cache.siev",
+                    "--task", workdir / "task.json",
+                    "--out", tmp_path / "run"])
+        assert code == 3
+        assert "e0.b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["nan", "0", "-1", "inf"])
+    def test_bad_learning_rate_exits_3(self, workdir, tmp_path, lr, capsys):
+        code = run(["cache", "--model", workdir / "model.siev",
+                    "--capture", workdir / "cap.siev",
+                    "--out", tmp_path / "cache.siev", "--lr", lr])
+        assert code == 3
+        assert "learning_rate must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "cache.siev").exists()
+
+    def test_wrong_task_schema_exits_3(self, workdir, tmp_path, monkeypatch, capsys):
+        task = json.loads((workdir / "task.json").read_text())
+        task["schema"] = "something-else-v9"
+        (tmp_path / "task.json").write_text(json.dumps(task))
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        code = run(["search", "--mode", "ga",
+                    "--model", workdir / "model.siev",
+                    "--cache", workdir / "cache.siev",
+                    "--task", tmp_path / "task.json",
+                    "--out", tmp_path / "run"])
+        assert code == 3
+        assert "taskprune-task-v1" in capsys.readouterr().err
+
+    def test_missing_pruning_schema_exits_3(self, workdir, tmp_path, capsys):
+        vector = json.loads((workdir / "run_ga" / "best.json").read_text())
+        del vector["schema"]
+        (tmp_path / "best.json").write_text(json.dumps(vector))
+        code = run(["eval", "--model", workdir / "model.siev",
+                    "--task", workdir / "task.json",
+                    "--pruning", tmp_path / "best.json",
+                    "--cache", workdir / "cache.siev"])
+        assert code == 3
+        assert "taskprune-pruning-v1" in capsys.readouterr().err
+
+    def test_wrong_run_schema_exits_3(self, workdir, tmp_path, capsys):
+        shutil.copytree(workdir / "run_ga", tmp_path / "run")
+        run_doc = json.loads((tmp_path / "run" / "run.json").read_text())
+        run_doc["schema"] = "taskprune-run-v0"
+        (tmp_path / "run" / "run.json").write_text(json.dumps(run_doc))
+        code = run(["report", "--run", tmp_path / "run", "--out", tmp_path / "report"])
+        assert code == 3
+        assert "taskprune-run-v1" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()

@@ -11,7 +11,7 @@ import taskprune as tp
 from taskprune.calibrate import FactorSet, PruningVector, compression_ratio, retained_site_params
 from taskprune.factorize import FactorizeOptions
 from taskprune.linalg import derive_rng
-from taskprune.model import count_params, site_dims, sites
+from taskprune.model import site_dims, sites
 from taskprune.report import (
     SweepPoint,
     build_report,
@@ -52,7 +52,7 @@ class TestRetentionTables:
     def test_means_recompute_from_per_site_rows(self, tiny_model):
         rng = derive_rng(80)
         vec = PruningVector(tuple(int(i) for i in rng.integers(0, 10, size=8)))
-        rows, per_layer, per_kind = retention_tables(vec, tiny_model)
+        rows, per_layer, per_kind = retention_tables(vec, tiny_model.config)
         assert len(rows) == 8
         for layer, mean in per_layer.items():
             vals = [r["retention"] for r in rows if r["layer"] == layer]
@@ -65,11 +65,11 @@ class TestRetentionTables:
         # for a uniform vector the unweighted retention mean matches the
         # parameter-weighted retained fraction up to rank quantization
         vec = PruningVector.uniform(tp.DEFAULT_FACTOR_SET, 8, 4)
-        rows, per_layer, _ = retention_tables(vec, tiny_model)
+        rows, per_layer, _ = retention_tables(vec, tiny_model.config)
         mean_all = sum(per_layer.values()) / len(per_layer)
-        retained_frac = (retained_site_params(vec, tiny_model)
-                         / count_params(tiny_model, sites_only=True))
         cfg = tiny_model.config
+        dense = PruningVector.all_ones(tp.DEFAULT_FACTOR_SET, 8)
+        retained_frac = retained_site_params(vec, cfg) / retained_site_params(dense, cfg)
         step = max((d_in + d_out) / (d_in * d_out)
                    for d_in, d_out in (site_dims(cfg, s) for s in sites(cfg)))
         assert abs(mean_all - retained_frac) <= step
@@ -97,10 +97,22 @@ class TestEmitReport:
                      "bottlenecks.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_weights_and_config_give_identical_files(self, tiny_model, tmp_path):
+        # perfbench passes the ModelWeights, `taskprune report` the config
+        history = [EvalRecord(0, (0, 3, 5, 2, 0, 4, 9, 1), 0.97, 0.5, 10.0)]
+        emit_report(self.make_report(tiny_model, history), tmp_path / "weights")
+        emit_report(self.make_report(tiny_model.config, history), tmp_path / "config")
+        names = sorted(os.listdir(tmp_path / "weights"))
+        assert names == sorted(os.listdir(tmp_path / "config"))
+        assert len(names) == 5
+        for name in names:
+            weights, config = tmp_path / "weights" / name, tmp_path / "config" / name
+            assert weights.read_bytes() == config.read_bytes()
+
     def test_report_fields(self, tiny_model, tmp_path):
         report = self.make_report(tiny_model)
         assert report.compression == pytest.approx(
-            compression_ratio(PruningVector((0, 3, 5, 2, 0, 4, 9, 1)), tiny_model))
+            compression_ratio(PruningVector((0, 3, 5, 2, 0, 4, 9, 1)), tiny_model.config))
         assert 0.0 < report.whole_model_compression < report.compression
         assert report.flops_pruned < report.flops_dense
         emit_report(report, tmp_path / "out")

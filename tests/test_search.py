@@ -195,7 +195,7 @@ class TestBinarySearch:
         task = TaskSpec(TaskMode.BASELINE_AGREEMENT, [b"ab"], None, 2, 0.05)
         ev, _ = scripted_eval(0)
         result = binary_search_uniform(tiny_model, tiny_cache, task, eval_fn=ev)
-        assert result.vector.is_all_ones()
+        assert result.vector.indices == (0,) * 8
         assert result.warning is not None
         assert not result.pruned
 
@@ -211,7 +211,7 @@ class TestBinarySearch:
         result = binary_search_uniform(tiny_model, tiny_cache, tiny_task)
         for rec in result.history:
             vec = PruningVector(rec.genes, tiny_cache.factor_set)
-            assert rec.compression == pytest.approx(compression_ratio(vec, tiny_model))
+            assert rec.compression == pytest.approx(compression_ratio(vec, tiny_model.config))
 
 
 def constant_accuracy_eval(acc: float):
@@ -229,7 +229,7 @@ class TestGaSearch:
         # with accuracy pinned at a*, fitness is maximized by pruning everything
         # (the most aggressive levels share rank 1 at this scale, so compare
         # compression, not raw gene indices)
-        max_c = compression_ratio(PruningVector((9,) * 8, tiny_cache.factor_set), tiny_model)
+        max_c = compression_ratio(PruningVector((9,) * 8, tiny_cache.factor_set), tiny_model.config)
         assert result.best.compression == pytest.approx(max_c)
         assert min(result.best.genes) >= 8
         assert result.feasible
