@@ -203,6 +203,10 @@ class AdapterCache:
     def built_entries(self) -> int:
         return sum(1 for (_, fi) in self.entries if fi > 0)
 
+    def check_model(self, model: ModelWeights) -> None:
+        if self.model_fingerprint != model_fingerprint(model):
+            raise CacheMismatchError("cache was built for a different model")
+
     def fingerprint(self) -> str:
         return hashlib.sha256(cache_to_bytes(self)).hexdigest()
 
@@ -304,8 +308,7 @@ class PrunedModel:
 
 def assemble(model: ModelWeights, vector: PruningVector, cache: AdapterCache) -> PrunedModel:
     """Attach cache adapters per the vector; level-1.0 sites stay dense."""
-    if cache.model_fingerprint != model_fingerprint(model):
-        raise CacheMismatchError("cache was built for a different model")
+    cache.check_model(model)
     if vector.factor_set.levels != cache.factor_set.levels:
         raise CacheMismatchError("pruning vector uses a different factor set")
     site_list = sites(model.config)

@@ -228,9 +228,10 @@ def tokenize(data: bytes | str) -> list[int]:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * gain + bias
+    # the same bits as x.var(), which subtracts the mean a second time
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = (d * d).mean(axis=-1, keepdims=True)
+    return d / np.sqrt(var + LN_EPS) * gain + bias
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -286,7 +287,7 @@ def _columns(a: np.ndarray) -> Matrix:
 
 
 def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] | None = None,
-                 cache: list[np.ndarray] | None = None):
+                 cache: list[np.ndarray] | None = None, outputs: list[np.ndarray] | None = None):
     """Run a (batch, seq) block of token ids through every layer.
 
     `model` is a ModelWeights or anything exposing `.base` / `.adapters`
@@ -299,6 +300,11 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
     positions seen so far. The block sits at positions n_seen onward,
     attends to those rows and its own, and its k|v rows are appended. An
     empty list starts at position 0.
+
+    `outputs`, when given, holds the outputs of layers 0..k-1 for this same
+    block from an earlier pass whose layers 0..k-1 had these weights. The
+    pass resumes at layer k from the last of them (k = 0 starts from the
+    embeddings) and appends the output of every layer it runs.
     """
     base: ModelWeights = getattr(model, "base", model)
     adapters: dict = getattr(model, "adapters", None) or {}
@@ -321,8 +327,13 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
             pairs[site] = (_columns(x), _columns(y))
         return y
 
-    x = base.embed[ids] + base.pos_embed[start:start + ids.shape[1]]
-    for li, layer in enumerate(base.layers):
+    first = len(outputs) if outputs else 0
+    if first:
+        x = outputs[-1]
+    else:
+        x = base.embed[ids] + base.pos_embed[start:start + ids.shape[1]]
+    for li in range(first, len(base.layers)):
+        layer = base.layers[li]
         h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
         qkv = site_product(li, SiteKind.QKV, h)
         kv = None
@@ -340,6 +351,8 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
         h2 = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
         act = gelu(site_product(li, SiteKind.FFN1, h2) + layer.b_ffn1)
         x = x + site_product(li, SiteKind.FFN2, act) + layer.b_ffn2
+        if outputs is not None:
+            outputs.append(x)
     return x, pairs
 
 
@@ -363,14 +376,32 @@ def forward(
     return logits, ActivationCapture(entries=pairs, tokens=len(tokens))
 
 
-def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int) -> list[list[int]]:
+def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
+                        expected: Sequence[Sequence[int]] | None = None,
+                        reuse: dict | None = None) -> list[list[int]]:
     """Greedy continuation of every prompt; equal-length prompts run in lockstep.
 
-    Each block of equal-length prompts runs through the layers once, filling
-    a K/V cache local to this call; every later step feeds only the previous
-    step's tokens, one row per prompt. Each continuation stops at STOP_BYTE
-    (excluded) or after max_new tokens, and argmax ties break toward the
-    lower token id. Returns only the generated tokens.
+    Each continuation stops at STOP_BYTE (excluded) or after max_new tokens,
+    and argmax ties break toward the lower token id. Returns only the
+    generated tokens.
+
+    Without `expected`, each block of equal-length prompts runs through the
+    layers once, filling a K/V cache local to this call; every later step
+    feeds only the previous step's tokens, one row per prompt.
+
+    With `expected` (verify mode), one expected continuation per prompt, a
+    continuation also stops at its first token that differs from the
+    expected one, and that token is included. Every token before the stop
+    is then the expected one, so there are no steps: each block runs once
+    over prompt + expected[:max_new-1] (padded with STOP_BYTE), and the
+    argmax at positions len(p)-1 .. len(p)+max_new-2 gives the continuation.
+    Each row is a prefix of the full decode, and equals expected[i] exactly
+    when the full decode does.
+
+    `reuse`, a dict that a verify-mode call reads and updates, keeps per
+    block the input ids, each layer's weights and the outputs of all layers
+    but the last. A later call on the same ids whose leading layers have the
+    same weights (the same objects) resumes after the last of them.
     """
     base: ModelWeights = getattr(model, "base", model)
     by_len: dict[int, list[int]] = {}
@@ -382,18 +413,73 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int) -
     }
     for seqs in blocks.values():
         _check_ids(base.config, seqs, max_new)
+    if expected is not None and len(expected) != len(prompts):
+        raise ValueError("expected needs one continuation per prompt")
 
     results: list[list[int]] = [[] for _ in prompts]
     for length, step in blocks.items():
-        cache: list[np.ndarray] = []
-        new = []
-        for _ in range(max_new):
-            x, _ = _transformer(model, step, cache=cache)
-            step = np.argmax(_head(base, x[:, -1, :]), axis=1)[:, None]
-            new.append(step)
-        for i, row in zip(by_len[length], np.concatenate(new, axis=1).tolist()):
-            results[i] = row[:row.index(STOP_BYTE)] if STOP_BYTE in row else row
+        idxs = by_len[length]
+        if expected is None:
+            rows = _decode_block(model, step, max_new)
+        else:
+            rows = _verify_block(model, step, [expected[i] for i in idxs], max_new, reuse)
+        for i, row in zip(idxs, rows):
+            row = row[:row.index(STOP_BYTE)] if STOP_BYTE in row else row
+            results[i] = row if expected is None else _through_first_difference(row, expected[i])
     return results
+
+
+def _through_first_difference(row: list[int], target: Sequence[int]) -> list[int]:
+    """`row` up to and including its first token that differs from `target`."""
+    for j, t in enumerate(row):
+        if j >= len(target) or t != target[j]:
+            return row[:j + 1]
+    return row
+
+
+def _decode_block(model, step: np.ndarray, max_new: int) -> list[list[int]]:
+    """max_new greedy tokens per row of an equal-length prompt block."""
+    base: ModelWeights = getattr(model, "base", model)
+    cache: list[np.ndarray] = []
+    new = []
+    for _ in range(max_new):
+        x, _ = _transformer(model, step, cache=cache)
+        step = np.argmax(_head(base, x[:, -1, :]), axis=1)[:, None]
+        new.append(step)
+    return np.concatenate(new, axis=1).tolist()
+
+
+def _verify_block(model, prompts: np.ndarray, expected: list[Sequence[int]], max_new: int,
+                  reuse: dict | None) -> list[list[int]]:
+    """Per row of an equal-length prompt block, the argmax at the last prompt
+    position and after each of the first max_new-1 expected tokens, from one
+    pass over the block."""
+    base: ModelWeights = getattr(model, "base", model)
+    adapters: dict = getattr(model, "adapters", None) or {}
+    vocab = base.config.vocab_size
+    tail = np.full((len(expected), max_new - 1), STOP_BYTE, dtype=np.int64)
+    for r, e in enumerate(expected):
+        # a token outside the vocabulary never matches, so what follows it
+        # is never read; feed STOP_BYTE in its place
+        e = [t if 0 <= t < vocab else STOP_BYTE for t in e[:max_new - 1]]
+        tail[r, :len(e)] = e
+    ids = np.concatenate([prompts, tail], axis=1)
+    weights = [(base, *(adapters.get(SiteId(li, kind)) for kind in KIND_ORDER))
+               for li in range(base.config.n_layers)]
+
+    outputs: list[np.ndarray] = []
+    length = prompts.shape[1]
+    if reuse is not None and length in reuse:
+        seen_ids, seen_weights, seen_outputs = reuse[length]
+        if np.array_equal(seen_ids, ids):
+            for was, now, out in zip(seen_weights, weights, seen_outputs):
+                if not all(a is b for a, b in zip(was, now)):
+                    break
+                outputs.append(out)
+    x, _ = _transformer(model, ids, outputs=outputs)
+    if reuse is not None:
+        reuse[length] = (ids, weights, outputs[:-1])
+    return np.argmax(_head(base, x[:, length - 1:, :]), axis=2).tolist()
 
 
 # --- SIEV container -------------------------------------------------------

@@ -8,9 +8,11 @@ Two strategies over the factor-set grid:
   F(p, a) = c(p) * (1 + exp(gain * (a - a0))), which rewards compression hard
   once accuracy clears the threshold a0 = (1 - epsilon) * a*.
 
-Task accuracy is deterministic: greedy decodes compared byte-for-byte either
-against expected strings (EXACT_MATCH) or against the unpruned model's own
-decodes (BASELINE_AGREEMENT).
+Task accuracy is deterministic: each prompt's greedy decode must equal its
+target, either an expected string (EXACT_MATCH) or the unpruned model's own
+decode (BASELINE_AGREEMENT). The decode is verified rather than generated:
+one teacher-forced pass over prompt + target gives every greedy token up to
+the first one off the target, which decides the verdict.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -129,20 +132,24 @@ def evaluate(
     model,
     task: TaskSpec,
     baseline_outputs: Sequence[Sequence[int]] | None = None,
+    reuse: dict | None = None,
 ) -> EvalResult:
-    """Deterministic accuracy = correct decodes / prompts."""
+    """Deterministic accuracy = correct decodes / prompts.
+
+    The decodes are verified against their targets (see greedy_decode_batch):
+    a decode is only followed up to its first token off the target, which
+    decides its verdict. `reuse` is passed on to greedy_decode_batch.
+    """
     if task.mode is TaskMode.BASELINE_AGREEMENT and baseline_outputs is None:
         raise ValueError("BASELINE_AGREEMENT requires baseline_outputs")
+    if task.mode is TaskMode.EXACT_MATCH:
+        targets = [_truncate_at_stop(tokenize(e)) for e in task.expected]
+    else:
+        targets = [tuple(map(int, out)) for out in baseline_outputs]
     decoded_all = greedy_decode_batch(model, [tokenize(p) for p in task.prompts],
-                                      task.max_new_tokens)
-    verdicts = []
-    for i, decoded in enumerate(decoded_all):
-        if task.mode is TaskMode.EXACT_MATCH:
-            target = _truncate_at_stop(tokenize(task.expected[i]))
-        else:
-            target = tuple(int(t) for t in baseline_outputs[i])
-        verdicts.append(tuple(decoded) == target)
-    return EvalResult(accuracy=sum(verdicts) / len(verdicts), verdicts=tuple(verdicts))
+                                      task.max_new_tokens, expected=targets, reuse=reuse)
+    verdicts = tuple(tuple(decoded) == target for decoded, target in zip(decoded_all, targets))
+    return EvalResult(accuracy=sum(verdicts) / len(verdicts), verdicts=verdicts)
 
 
 def threshold_accuracy(a_star: float, epsilon: float) -> float:
@@ -169,14 +176,20 @@ def make_eval_fn(model: ModelWeights, cache: AdapterCache, task: TaskSpec) -> Ev
     """Default pipeline: assemble the pruned model and score it on the task.
 
     For BASELINE_AGREEMENT the unpruned decodes are computed once and reused.
+    Each thread keeps the layer outputs of the last vector it scored, so a
+    vector resumes after the leading layers whose genes it shares with that
+    one (see greedy_decode_batch's `reuse`).
     """
     baseline = None
     if task.mode is TaskMode.BASELINE_AGREEMENT:
         baseline = baseline_decodes(model, task)
+    local = threading.local()
 
     def run(vector: PruningVector) -> EvalResult:
         pruned = assemble(model, vector, cache)
-        return evaluate(pruned, task, baseline)
+        if not hasattr(local, "reuse"):
+            local.reuse = {}
+        return evaluate(pruned, task, baseline, local.reuse)
 
     return run
 

@@ -323,3 +323,44 @@ class TestErrorPaths:
         assert code == 3
         assert "taskprune-run-v1" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
+
+    def test_prompt_overflowing_the_context_exits_3_before_decoding(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        task = json.loads((workdir / "task.json").read_text())
+        task["prompts"][5] = "a" * 30          # 30 + 3 new tokens > max_seq_len 32
+        (tmp_path / "task.json").write_text(json.dumps(task))
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        code = run(["search", "--mode", "up",
+                    "--model", workdir / "model.siev",
+                    "--cache", workdir / "cache.siev",
+                    "--task", tmp_path / "task.json",
+                    "--out", tmp_path / "run"])
+        assert code == 3
+        assert "prompt 5 has 30 bytes" in capsys.readouterr().err
+
+    def test_prompt_outside_the_vocabulary_exits_3_before_decoding(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        cfg = tp.TransformerConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
+                                   vocab_size=64, max_seq_len=32)
+        tp.save_model(tp.random_model(cfg, seed=52), tmp_path / "small_vocab.siev")
+        task = json.loads((workdir / "task.json").read_text())
+        task["prompts"] = ["!!!!"] * 3 + ["!!d!"]       # "d" is byte 100
+        (tmp_path / "task.json").write_text(json.dumps(task))
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        code = run(["eval", "--model", tmp_path / "small_vocab.siev",
+                    "--task", tmp_path / "task.json"])
+        assert code == 3
+        assert "prompt 3 holds byte 100 >= vocab_size 64" in capsys.readouterr().err
+
+    def test_cache_of_another_model_exits_3_before_decoding(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        cfg = tp.load_model(workdir / "model.siev").config
+        tp.save_model(tp.random_model(cfg, seed=53, spectral_decay=0.6), tmp_path / "other.siev")
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        code = run(["search", "--mode", "ga",
+                    "--model", tmp_path / "other.siev",
+                    "--cache", workdir / "cache.siev",
+                    "--task", workdir / "task.json",
+                    "--out", tmp_path / "run"])
+        assert code == 3
+        assert "cache was built for a different model" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import taskprune as tp
+import taskprune.model as model_module
 from taskprune.calibrate import PruningVector, assemble, cache_to_bytes
 from taskprune.linalg import derive_rng, frobenius_rel_error
 from taskprune.model import (
@@ -114,6 +115,16 @@ class TestForward:
         oracle = oracle_forward(m, tokens)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(logits - oracle)) / scale < 1e-9
+
+    def test_layer_norm_matches_two_pass_formula(self):
+        rng = derive_rng(24)
+        for shape in [(7, 3, 5), (64, 13, 16), (5, 48)]:
+            x = rng.normal(rng.uniform(-3, 3), rng.uniform(0.01, 10), size=shape)
+            gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+            mean = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)
+            reference = (x - mean) / np.sqrt(var + LN_EPS) * gain + bias
+            assert np.array_equal(layer_norm(x, gain, bias), reference)
 
     def test_invalid_tokens(self, tiny_model):
         with pytest.raises(ValueError):
@@ -364,6 +375,123 @@ class TestGreedyDecode:
             greedy_decode_batch(tiny_model, [[1, 2], [1] * tiny_model.config.max_seq_len], 1)
         with pytest.raises(ValueError, match="out of range"):
             greedy_decode_batch(tiny_model, [[1, 2], [3, 256]], 1)
+
+
+def full_decode(model, prompt, max_new):
+    """max_new greedy tokens, decoding on through STOP_BYTE."""
+    seq = list(prompt)
+    for _ in range(max_new):
+        logits, _ = forward(model, seq)
+        seq.append(int(np.argmax(logits[-1])))
+    return seq[len(prompt):]
+
+
+def verified_row(full, expected):
+    """The spec of verify mode: the full decode up to its first STOP_BYTE
+    (excluded) or its first token off `expected` (included)."""
+    for j, t in enumerate(full):
+        if t == STOP_BYTE:
+            return full[:j]
+        if j >= len(expected) or t != expected[j]:
+            return full[:j + 1]
+    return full
+
+
+class TestVerifyMode:
+    @pytest.mark.parametrize("pruned", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_decode(self, tiny_model, tiny_cache, pruned, data):
+        model = tiny_model
+        if pruned:
+            model = assemble(tiny_model, PruningVector((0, 3, 5, 0, 2, 9, 0, 1),
+                                                       tiny_cache.factor_set), tiny_cache)
+        max_len = tiny_model.config.max_seq_len
+        max_new = data.draw(st.integers(1, 5), label="max_new")
+        lengths = data.draw(st.lists(st.sampled_from([1, 4, max_len - max_new]),
+                                     min_size=1, max_size=5), label="lengths")
+        prompts = [data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+                   for n in lengths]
+        decoded = greedy_decode_batch(model, prompts, max_new)
+        expected = []
+        for true in decoded:
+            kind = data.draw(st.sampled_from(["true", "changed", "truncated", "empty"]))
+            e = list(true)
+            if kind == "changed" and e:
+                j = data.draw(st.integers(0, len(e) - 1))
+                e[j] = data.draw(st.integers(1, 255).filter(lambda t: t != true[j]))
+            elif kind == "truncated":
+                e = e[:data.draw(st.integers(0, len(e)))]
+            elif kind == "empty":
+                e = []
+            expected.append(e)
+
+        rows = greedy_decode_batch(model, prompts, max_new, expected=expected)
+        for p, true, e, row in zip(prompts, decoded, expected, rows):
+            assert (row == e) == (true == e)
+            assert row == verified_row(full_decode(model, p, max_new), e)
+
+    @pytest.mark.parametrize("max_new", [1, 4])
+    def test_full_context_and_single_token(self, tiny_model, max_new):
+        max_len = tiny_model.config.max_seq_len
+        rng = derive_rng(44)
+        prompts = [rng.integers(1, 256, size=n).tolist() for n in (max_len - max_new, 3)]
+        decoded = greedy_decode_batch(tiny_model, prompts, max_new)
+        wrong = [[t % 255 + 1 for t in d] for d in decoded]
+        assert greedy_decode_batch(tiny_model, prompts, max_new, expected=decoded) == decoded
+        rows = greedy_decode_batch(tiny_model, prompts, max_new, expected=wrong)
+        assert rows == [verified_row(full_decode(tiny_model, p, max_new), w)
+                        for p, w in zip(prompts, wrong)]
+        assert all(len(row) == min(1, len(d)) for row, d in zip(rows, decoded))
+
+    def test_expected_outside_the_vocabulary_never_matches(self, tiny_model):
+        prompts = [[5, 6, 7], [8, 9, 10]]
+        decoded = greedy_decode_batch(tiny_model, prompts, 4)
+        expected = [[256, -1], decoded[1][:1] + [999]]
+        rows = greedy_decode_batch(tiny_model, prompts, 4, expected=expected)
+        assert rows == [verified_row(full_decode(tiny_model, p, 4), e)
+                        for p, e in zip(prompts, expected)]
+
+    def test_resumed_pass_equals_full_pass(self, tiny_cache, tiny_model):
+        cfg = tp.TransformerConfig(n_layers=4, d_model=16, n_heads=2, d_ff=32, max_seq_len=32)
+        pruned = assemble(tiny_model, PruningVector((2, 0, 4, 1, 0, 3, 9, 5),
+                                                    tiny_cache.factor_set), tiny_cache)
+        ids = derive_rng(45).integers(0, 256, size=(3, 20))
+        for model in (tp.random_model(cfg, seed=12, spectral_decay=0.7), pruned):
+            outputs: list = []
+            full, _ = _transformer(model, ids, outputs=outputs)
+            assert len(outputs) == model.config.n_layers and outputs[-1] is full
+            for k in range(1, model.config.n_layers):
+                resumed = outputs[:k]
+                x, _ = _transformer(model, ids, outputs=resumed)
+                assert np.array_equal(x, full)
+                assert len(resumed) == model.config.n_layers
+
+    def test_reuse_resumes_after_the_shared_layers(self, tiny_model, tiny_cache, monkeypatch):
+        prompts = derive_rng(46).integers(1, 256, size=(6, 8)).tolist()
+        targets = greedy_decode_batch(tiny_model, prompts, 3)
+        fs = tiny_cache.factor_set
+        vectors = [(0, 3, 5, 0, 2, 9, 0, 1), (0, 3, 5, 0, 4, 4, 4, 4),
+                   (0, 3, 5, 1, 4, 4, 4, 4), (0, 3, 5, 1, 4, 4, 4, 4)]
+        calls = [0]
+        real_layer_norm = model_module.layer_norm
+
+        def counting_layer_norm(*args):
+            calls[0] += 1
+            return real_layer_norm(*args)
+
+        monkeypatch.setattr(model_module, "layer_norm", counting_layer_norm)
+        reuse: dict = {}
+        runs = []
+        for genes in vectors:
+            pruned = assemble(tiny_model, PruningVector(genes, fs), tiny_cache)
+            plain = greedy_decode_batch(pruned, prompts, 3, expected=targets)
+            before = calls[0]
+            assert greedy_decode_batch(pruned, prompts, 3, expected=targets, reuse=reuse) == plain
+            runs.append(calls[0] - before)
+        # two layer norms per layer run and one for the head; only the outputs
+        # of layers before the last are kept, so a repeat still runs layer 1
+        assert runs == [5, 3, 5, 3]
 
 
 class TestPersistence:

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import taskprune as tp
-from taskprune.calibrate import DEFAULT_FACTOR_SET, FactorSet, PruningVector, compression_ratio
+from taskprune.calibrate import (
+    DEFAULT_FACTOR_SET,
+    FactorSet,
+    PruningVector,
+    assemble,
+    compression_ratio,
+)
 from taskprune.linalg import derive_rng
 from taskprune.search import (
     Chromosome,
@@ -395,3 +403,25 @@ def test_ga_config_validation():
         GaConfig(crossover_prob=1.5)
     with pytest.raises(ValueError):
         GaConfig(elitism_count=-1)
+
+
+def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_cache, tiny_task):
+    # three layer-0 gene sets, so that a thread's consecutive vectors often
+    # share their first layer and resume after it
+    rng = derive_rng(330)
+    heads = [(0, 0, 0, 0), (2, 5, 1, 7), (9, 3, 3, 0)]
+    vectors = [PruningVector(heads[int(rng.integers(3))]
+                             + tuple(int(g) for g in rng.integers(0, 10, size=4)),
+                             tiny_cache.factor_set)
+               for _ in range(200)]
+    ev = make_eval_fn(tiny_model, tiny_cache, tiny_task)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            shared = list(pool.map(ev, vectors, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    baseline = baseline_decodes(tiny_model, tiny_task)
+    assert shared == [evaluate(assemble(tiny_model, v, tiny_cache), tiny_task, baseline)
+                      for v in vectors]
