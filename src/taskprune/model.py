@@ -286,8 +286,20 @@ def _columns(a: np.ndarray) -> Matrix:
     return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
 
 
+def _site_product(base: ModelWeights, adapters: dict, site: SiteId, x: np.ndarray) -> np.ndarray:
+    """One prunable site's product x @ Wᵀ, through its adapter when it has one."""
+    fm = adapters.get(site)
+    # the products stay 3-D: flattened to (batch*seq, d) they change the
+    # captured pairs and the logits in the last bits
+    if fm is None:
+        return x @ base.site_weight(site).T
+    # low-rank path: y = B (C x), done as two chained products
+    return (x @ fm.c.T) @ fm.b.T
+
+
 def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] | None = None,
-                 cache: list[np.ndarray] | None = None, outputs: list[np.ndarray] | None = None):
+                 cache: list[np.ndarray] | None = None, outputs: list | None = None,
+                 read_from: int = 0):
     """Run a (batch, seq) block of token ids through every layer.
 
     `model` is a ModelWeights or anything exposing `.base` / `.adapters`
@@ -301,59 +313,72 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
     attends to those rows and its own, and its k|v rows are appended. An
     empty list starts at position 0.
 
-    `outputs`, when given, holds the outputs of layers 0..k-1 for this same
-    block from an earlier pass whose layers 0..k-1 had these weights. The
-    pass resumes at layer k from the last of them (k = 0 starts from the
-    embeddings) and appends the output of every layer it runs.
+    The pass walks the sites in `sites(config)` order and has a state after
+    each: after QKV the residual and the attention output, after OUT the
+    residual, after FFN1 the residual and the GeLU activation, after FFN2
+    the residual. `outputs`, when given, holds the states after sites
+    0..k-1 for this same block from an earlier pass whose sites 0..k-1 had
+    these weights (and the same `read_from`). The pass resumes at site k
+    from the last of them (k = 0 starts from the embeddings) and appends
+    the state after every site it runs.
+
+    `read_from` > 0 keeps only the rows from that position on through the
+    last layer: it still projects q|k|v at every position, so that they all
+    serve as keys and values, but runs the attention queries and everything
+    after them on rows read_from.. only, and returns just those rows. They
+    equal the full pass's rows to rounding, not bit for bit.
     """
     base: ModelWeights = getattr(model, "base", model)
     adapters: dict = getattr(model, "adapters", None) or {}
     start = cache[0].shape[1] if cache else 0
     _check_ids(base.config, ids, start=start)
     d_model = base.config.d_model
+    last = base.config.n_layers - 1
     pairs: dict[SiteId, tuple[Matrix, Matrix]] = {}
 
-    def site_product(layer: int, kind: SiteKind, x: np.ndarray) -> np.ndarray:
-        site = SiteId(layer, kind)
-        fm = adapters.get(site)
-        # the products stay 3-D: flattened to (batch*seq, d) they change the
-        # captured pairs and the logits in the last bits
-        if fm is None:
-            y = x @ base.site_weight(site).T
-        else:
-            # low-rank path: y = B (C x), done as two chained products
-            y = (x @ fm.c.T) @ fm.b.T
+    def site_product(site: SiteId, x: np.ndarray) -> np.ndarray:
+        y = _site_product(base, adapters, site, x)
         if taps and site in taps:
             pairs[site] = (_columns(x), _columns(y))
         return y
 
     first = len(outputs) if outputs else 0
     if first:
-        x = outputs[-1]
+        state = outputs[-1]
     else:
-        x = base.embed[ids] + base.pos_embed[start:start + ids.shape[1]]
-    for li in range(first, len(base.layers)):
-        layer = base.layers[li]
-        h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
-        qkv = site_product(li, SiteKind.QKV, h)
-        kv = None
-        if cache is not None:
-            kv = qkv[..., d_model:]
-            if li < len(cache):
-                kv = np.concatenate([cache[li], kv], axis=1)
-                cache[li] = kv
-            else:
-                cache.append(kv)
-        heads = _attention(qkv, base.config.n_heads, kv)
-        # a capture block's q|k|v is its largest array; free it before the FFN
-        del qkv
-        x = x + site_product(li, SiteKind.OUT, heads)
-        h2 = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
-        act = gelu(site_product(li, SiteKind.FFN1, h2) + layer.b_ffn1)
-        x = x + site_product(li, SiteKind.FFN2, act) + layer.b_ffn2
+        state = base.embed[ids] + base.pos_embed[start:start + ids.shape[1]]
+    for site in sites(base.config)[first:]:
+        li, layer = site.layer, base.layers[site.layer]
+        if site.kind is SiteKind.QKV:
+            x = state
+            qkv = site_product(site, layer_norm(x, layer.ln1_gain, layer.ln1_bias))
+            kv = None
+            if cache is not None:
+                kv = qkv[..., d_model:]
+                if li < len(cache):
+                    kv = np.concatenate([cache[li], kv], axis=1)
+                    cache[li] = kv
+                else:
+                    cache.append(kv)
+            if read_from and li == last:
+                kv = qkv[..., d_model:] if kv is None else kv
+                qkv, x = qkv[:, read_from:], x[:, read_from:]
+            state = (x, _attention(qkv, base.config.n_heads, kv))
+            # a capture block's q|k|v is its largest array; free it before the FFN
+            del qkv, kv
+        elif site.kind is SiteKind.OUT:
+            x, heads = state
+            state = x + site_product(site, heads)
+        elif site.kind is SiteKind.FFN1:
+            x = state
+            h2 = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
+            state = (x, gelu(site_product(site, h2) + layer.b_ffn1))
+        else:
+            x, act = state
+            state = x + site_product(site, act) + layer.b_ffn2
         if outputs is not None:
-            outputs.append(x)
-    return x, pairs
+            outputs.append(state)
+    return state, pairs
 
 
 def _head(base: ModelWeights, x: np.ndarray) -> np.ndarray:
@@ -398,10 +423,14 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
     Each row is a prefix of the full decode, and equals expected[i] exactly
     when the full decode does.
 
+    Only the last max_new positions of a block are read, so its last layer
+    runs those rows alone (see `_transformer`'s `read_from`).
+
     `reuse`, a dict that a verify-mode call reads and updates, keeps per
-    block the input ids, each layer's weights and the outputs of all layers
-    but the last. A later call on the same ids whose leading layers have the
-    same weights (the same objects) resumes after the last of them.
+    block the input ids, each site's weights and the states after all sites
+    but the last. A later call on the same ids whose leading sites have the
+    same weights (the same objects) resumes after the last of them, so a
+    vector restarts at its first changed site.
     """
     base: ModelWeights = getattr(model, "base", model)
     by_len: dict[int, list[int]] = {}
@@ -464,22 +493,21 @@ def _verify_block(model, prompts: np.ndarray, expected: list[Sequence[int]], max
         e = [t if 0 <= t < vocab else STOP_BYTE for t in e[:max_new - 1]]
         tail[r, :len(e)] = e
     ids = np.concatenate([prompts, tail], axis=1)
-    weights = [(base, *(adapters.get(SiteId(li, kind)) for kind in KIND_ORDER))
-               for li in range(base.config.n_layers)]
+    weights = [(base, adapters.get(site)) for site in sites(base.config)]
 
-    outputs: list[np.ndarray] = []
+    outputs: list = []
     length = prompts.shape[1]
     if reuse is not None and length in reuse:
         seen_ids, seen_weights, seen_outputs = reuse[length]
         if np.array_equal(seen_ids, ids):
             for was, now, out in zip(seen_weights, weights, seen_outputs):
-                if not all(a is b for a, b in zip(was, now)):
+                if was[0] is not now[0] or was[1] is not now[1]:
                     break
                 outputs.append(out)
-    x, _ = _transformer(model, ids, outputs=outputs)
+    x, _ = _transformer(model, ids, outputs=outputs, read_from=length - 1)
     if reuse is not None:
         reuse[length] = (ids, weights, outputs[:-1])
-    return np.argmax(_head(base, x[:, length - 1:, :]), axis=2).tolist()
+    return np.argmax(_head(base, x), axis=2).tolist()
 
 
 # --- SIEV container -------------------------------------------------------

@@ -176,9 +176,9 @@ def make_eval_fn(model: ModelWeights, cache: AdapterCache, task: TaskSpec) -> Ev
     """Default pipeline: assemble the pruned model and score it on the task.
 
     For BASELINE_AGREEMENT the unpruned decodes are computed once and reused.
-    Each thread keeps the layer outputs of the last vector it scored, so a
-    vector resumes after the leading layers whose genes it shares with that
-    one (see greedy_decode_batch's `reuse`).
+    Each thread keeps the per-site states of the last vector it scored, so a
+    vector resumes at its first gene that differs from that one's (see
+    greedy_decode_batch's `reuse`).
     """
     baseline = None
     if task.mode is TaskMode.BASELINE_AGREEMENT:
@@ -414,24 +414,36 @@ def ga_search(
         a, c, f = memo[chrom.genes]
         chrom.accuracy, chrom.compression, chrom.fitness = a, c, f
 
+    def job(genes: tuple[int, ...]) -> tuple[float, float, float]:
+        vec = PruningVector(genes, factor_set)
+        res = ev(vec)
+        c = compression_ratio(vec, model.config)
+        return res.accuracy, c, fitness_from_compression(c, res.accuracy, a0, cfg.penalty_gain)
+
+    def run_chunk(chunk: list[tuple[int, ...]], barrier: threading.Barrier):
+        # every chunk waits until each has a thread of its own, so no thread
+        # takes a second chunk of the same generation
+        barrier.wait()
+        return [job(genes) for genes in chunk]
+
+    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers)
+            if cfg.workers > 1 else None)
+    resumed = len(memo)
+
     def eval_population(pop: list[Chromosome]) -> None:
+        # sorted, so that neighbours share leading genes; each worker scores
+        # one contiguous run of them and resumes from its own last vector
         pending = sorted({ch.genes for ch in pop if ch.genes not in memo})
-
-        def job(genes: tuple[int, ...]):
-            vec = PruningVector(genes, factor_set)
-            res = ev(vec)
-            c = compression_ratio(vec, model.config)
-            return genes, (res.accuracy, c,
-                           fitness_from_compression(c, res.accuracy, a0, cfg.penalty_gain))
-
-        if cfg.workers > 1 and len(pending) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                for genes, triple in pool.map(job, pending):
-                    memo[genes] = triple
+        n = min(cfg.workers, len(pending))
+        if n > 1:
+            cuts = [len(pending) * i // n for i in range(n + 1)]
+            chunks = [pending[a:b] for a, b in zip(cuts, cuts[1:])]
+            barrier = threading.Barrier(n)
+            parts = pool.map(run_chunk, chunks, [barrier] * n)
+            triples = [t for part in parts for t in part]
         else:
-            for genes in pending:
-                _, triple = job(genes)
-                memo[genes] = triple
+            triples = [job(genes) for genes in pending]
+        memo.update(zip(pending, triples))
         for ch in pop:
             score(ch)
 
@@ -527,10 +539,15 @@ def ga_search(
             population = next_pop
             generation += 1
     finally:
+        if pool is not None:
+            pool.shutdown()
         if stream is not None:
             stream.close()
     if stream_path != history_path:
         os.replace(stream_path, history_path)
+    unique = len(memo) - resumed
+    log.info("ga_search: %d evaluations requested, %d unique, %d served by the memo",
+             len(history), unique, len(history) - unique)
 
     feasible = best_feasible is not None
     winner = best_feasible if feasible else best

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from taskprune.model import (
     _head,
     _transformer,
     forward,
+    gelu,
     greedy_decode_batch,
     layer_norm,
     model_to_bytes,
@@ -397,6 +400,29 @@ def verified_row(full, expected):
     return full
 
 
+def layer_loop_reference(model, ids):
+    """The batched layer loop written out layer by layer, in the same numpy
+    operations and order, so its bits are the full pass's."""
+    base = getattr(model, "base", model)
+    adapters = getattr(model, "adapters", {})
+
+    def product(li, kind, x):
+        fm = adapters.get(SiteId(li, kind))
+        if fm is None:
+            return x @ base.site_weight(SiteId(li, kind)).T
+        return (x @ fm.c.T) @ fm.b.T
+
+    x = base.embed[ids] + base.pos_embed[:ids.shape[1]]
+    for li, layer in enumerate(base.layers):
+        h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
+        heads = _attention(product(li, SiteKind.QKV, h), base.config.n_heads)
+        x = x + product(li, SiteKind.OUT, heads)
+        h2 = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
+        act = gelu(product(li, SiteKind.FFN1, h2) + layer.b_ffn1)
+        x = x + product(li, SiteKind.FFN2, act) + layer.b_ffn2
+    return x
+
+
 class TestVerifyMode:
     @pytest.mark.parametrize("pruned", [False, True])
     @settings(max_examples=40, deadline=None)
@@ -458,14 +484,43 @@ class TestVerifyMode:
                                                     tiny_cache.factor_set), tiny_cache)
         ids = derive_rng(45).integers(0, 256, size=(3, 20))
         for model in (tp.random_model(cfg, seed=12, spectral_decay=0.7), pruned):
+            n_sites = 4 * model.config.n_layers
             outputs: list = []
             full, _ = _transformer(model, ids, outputs=outputs)
-            assert len(outputs) == model.config.n_layers and outputs[-1] is full
-            for k in range(1, model.config.n_layers):
+            assert len(outputs) == n_sites and outputs[-1] is full
+            for k in range(1, n_sites):
                 resumed = outputs[:k]
                 x, _ = _transformer(model, ids, outputs=resumed)
                 assert np.array_equal(x, full)
-                assert len(resumed) == model.config.n_layers
+                assert len(resumed) == n_sites
+
+    def test_read_from_keeps_the_read_rows(self, tiny_model, tiny_cache):
+        pruned = assemble(tiny_model, PruningVector((0, 3, 5, 0, 2, 9, 0, 1),
+                                                    tiny_cache.factor_set), tiny_cache)
+        one_layer = dataclasses.replace(
+            tiny_model, config=dataclasses.replace(tiny_model.config, n_layers=1),
+            layers=tiny_model.layers[:1])
+        pruned_one_layer = SimpleNamespace(
+            base=one_layer, adapters={s: fm for s, fm in pruned.adapters.items() if s.layer == 0})
+        rng = derive_rng(47)
+        max_len = tiny_model.config.max_seq_len
+        blocks = [(rng.integers(0, 256, size=(3, 20)), (1, 7, 19)),
+                  (rng.integers(0, 256, size=(1, 5)), (4,)),
+                  (rng.integers(0, 256, size=(4, max_len)), (1, max_len - 4, max_len - 1))]
+        for model in (tiny_model, pruned, one_layer, pruned_one_layer):
+            for ids, starts in blocks:
+                full, _ = _transformer(model, ids)
+                assert np.array_equal(full, layer_loop_reference(model, ids))
+                assert np.array_equal(_transformer(model, ids, read_from=0)[0], full)
+                for r in starts:
+                    rows, _ = _transformer(model, ids, read_from=r)
+                    assert rows.shape == full[:, r:].shape
+                    rel = (np.linalg.norm(rows - full[:, r:], axis=-1)
+                           / np.linalg.norm(full[:, r:], axis=-1))
+                    assert rel.max() <= 1e-12
+                    base = getattr(model, "base", model)
+                    assert np.array_equal(np.argmax(_head(base, rows), axis=-1),
+                                          np.argmax(_head(base, full[:, r:]), axis=-1))
 
     def test_reuse_resumes_after_the_shared_layers(self, tiny_model, tiny_cache, monkeypatch):
         prompts = derive_rng(46).integers(1, 256, size=(6, 8)).tolist()
@@ -474,13 +529,13 @@ class TestVerifyMode:
         vectors = [(0, 3, 5, 0, 2, 9, 0, 1), (0, 3, 5, 0, 4, 4, 4, 4),
                    (0, 3, 5, 1, 4, 4, 4, 4), (0, 3, 5, 1, 4, 4, 4, 4)]
         calls = [0]
-        real_layer_norm = model_module.layer_norm
+        real_site_product = model_module._site_product
 
-        def counting_layer_norm(*args):
+        def counting_site_product(*args):
             calls[0] += 1
-            return real_layer_norm(*args)
+            return real_site_product(*args)
 
-        monkeypatch.setattr(model_module, "layer_norm", counting_layer_norm)
+        monkeypatch.setattr(model_module, "_site_product", counting_site_product)
         reuse: dict = {}
         runs = []
         for genes in vectors:
@@ -489,9 +544,11 @@ class TestVerifyMode:
             before = calls[0]
             assert greedy_decode_batch(pruned, prompts, 3, expected=targets, reuse=reuse) == plain
             runs.append(calls[0] - before)
-        # two layer norms per layer run and one for the head; only the outputs
-        # of layers before the last are kept, so a repeat still runs layer 1
-        assert runs == [5, 3, 5, 3]
+        # one product per site run, of the 8 sites in gene order. The first
+        # vector runs all 8; the second shares genes 0-3 and runs sites 4-7;
+        # the third shares genes 0-2 and runs sites 3-7. Only the states after
+        # the sites before the last are kept, so the repeat still runs site 7.
+        assert runs == [8, 4, 5, 1]
 
 
 class TestPersistence:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import logging
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -270,6 +272,49 @@ class TestGaSearch:
         b = ga_search(tiny_model, tiny_cache, tiny_task, par)
         assert a.best.genes == b.best.genes
         assert [r.to_dict() for r in a.history] == [r.to_dict() for r in b.history]
+
+    def test_each_worker_scores_one_contiguous_run(self, tiny_model, tiny_cache, tiny_task):
+        ev = make_eval_fn(tiny_model, tiny_cache, tiny_task)
+        calls = []
+
+        def recording(vector: PruningVector) -> EvalResult:
+            calls.append((threading.get_ident(), vector.indices))
+            return ev(vector)
+
+        cfg = GaConfig(population=24, seed=11, stall_generations=3, max_generations=5, workers=3)
+        result = ga_search(tiny_model, tiny_cache, tiny_task, cfg, eval_fn=recording)
+        calls = calls[1:]  # the baseline
+        seen: set = set()
+        for gen in range(result.generations):
+            pop = {rec.genes for rec in result.history if rec.generation == gen}
+            pending = sorted(pop - seen)
+            seen |= pop
+            here, calls = calls[:len(pending)], calls[len(pending):]
+            runs: dict = {}
+            for thread, genes in here:
+                runs.setdefault(thread, []).append(genes)
+            assert len(runs) == min(3, len(pending))
+            for run in runs.values():
+                start = pending.index(run[0])
+                assert run == pending[start:start + len(run)]
+        assert calls == []
+
+    def test_logs_evaluations_requested_unique_and_memoized(self, tiny_model, tiny_cache,
+                                                            tiny_task, caplog):
+        ev = make_eval_fn(tiny_model, tiny_cache, tiny_task)
+        calls = [0]
+
+        def counting(vector: PruningVector) -> EvalResult:
+            calls[0] += 1
+            return ev(vector)
+
+        cfg = GaConfig(population=16, seed=12, stall_generations=3, max_generations=6)
+        with caplog.at_level(logging.INFO, logger="taskprune.search"):
+            result = ga_search(tiny_model, tiny_cache, tiny_task, cfg, eval_fn=counting)
+        requested, unique = len(result.history), calls[0] - 1  # less the baseline
+        assert unique < requested
+        assert (f"ga_search: {requested} evaluations requested, {unique} unique, "
+                f"{requested - unique} served by the memo") in caplog.messages
 
     def test_population_seeded_with_uniform_levels(self, tiny_model, tiny_cache, tiny_task):
         cfg = GaConfig(population=20, seed=8, max_generations=1, stall_generations=1)
