@@ -62,10 +62,10 @@ from .search import (
     GaConfig,
     TaskMode,
     TaskSpec,
-    baseline_decodes,
     binary_search_uniform,
     bottleneck_analysis,
     evaluate,
+    exact_match_task,
     fitness_from_compression,
     ga_search,
     load_task,

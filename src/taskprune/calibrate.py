@@ -299,7 +299,6 @@ class PrunedModel:
 
     base: ModelWeights
     adapters: dict[SiteId, FactorizedMatrix]
-    vector: PruningVector
 
     @property
     def config(self) -> TransformerConfig:
@@ -321,7 +320,7 @@ def assemble(model: ModelWeights, vector: PruningVector, cache: AdapterCache) ->
         fm = cache.entry(site, fi)
         if fm is not None:
             adapters[site] = fm
-    return PrunedModel(base=model, adapters=adapters, vector=vector)
+    return PrunedModel(base=model, adapters=adapters)
 
 
 def _site_params(config: TransformerConfig, levels: Sequence[float] | None) -> int:

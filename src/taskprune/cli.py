@@ -46,10 +46,9 @@ from .report import (
 )
 from .search import (
     GaConfig,
-    TaskMode,
-    baseline_decodes,
     binary_search_uniform,
     evaluate,
+    exact_match_task,
     ga_search,
     load_task,
     read_history,
@@ -184,10 +183,7 @@ def cmd_eval(args) -> int:
         with open(args.pruning, "r", encoding="utf-8") as fh:
             vector = PruningVector.from_dict(json.load(fh))
         target = assemble(model, vector, load_cache(args.cache))
-    baseline = None
-    if task.mode is TaskMode.BASELINE_AGREEMENT:
-        baseline = baseline_decodes(model, task)
-    result = evaluate(target, task, baseline)
+    result = evaluate(target, exact_match_task(model, task))
     correct = sum(result.verdicts)
     print(f"accuracy={result.accuracy:.4f} ({correct}/{len(result.verdicts)} prompts)")
     return EXIT_OK

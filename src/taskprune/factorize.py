@@ -95,14 +95,6 @@ class FactorizedMatrix:
     calib_error: float
     achieved_factor: float
 
-    @property
-    def d_out(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.c.shape[1]
-
 
 def achieved_factor(rank: int, d_in: int, d_out: int) -> float:
     return rank * (d_in + d_out) / (d_in * d_out)

@@ -167,16 +167,14 @@ def random_model(
     config: TransformerConfig,
     seed: int,
     scale: float = 0.02,
-    pos_scale: float = 1.0,
     spectral_decay: float | None = None,
 ) -> ModelWeights:
     """Seeded random weights: N(0, scale^2) matrices, zero biases, unit norms.
 
-    pos_scale damps the positional embeddings relative to the token
-    embeddings. spectral_decay, when set, gives every prunable site matrix a
-    geometric singular-value spectrum (ratio per index), i.e. a model with
-    genuine low-rank structure to prune; fully random matrices are
-    incompressible and collapse under any rank truncation.
+    spectral_decay, when set, gives every prunable site matrix a geometric
+    singular-value spectrum (ratio per index), i.e. a model with genuine
+    low-rank structure to prune; fully random matrices are incompressible and
+    collapse under any rank truncation.
     """
     rng = derive_rng(seed)
     d, f = config.d_model, config.d_ff
@@ -213,7 +211,7 @@ def random_model(
     return ModelWeights(
         config=config,
         embed=w(config.vocab_size, d),
-        pos_embed=w(config.max_seq_len, d) * pos_scale,
+        pos_embed=w(config.max_seq_len, d),
         layers=layers,
         final_gain=np.ones(d),
         final_bias=np.zeros(d),

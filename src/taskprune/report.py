@@ -30,6 +30,7 @@ from .search import (
     EvalRecord,
     TaskSpec,
     bottleneck_analysis,
+    exact_match_task,
     make_eval_fn,
 )
 
@@ -109,8 +110,10 @@ def calibration_sweep(
 ) -> list[tuple[int, float]]:
     """Accuracy of a fixed uniform pruning level as calibration size grows.
 
-    Rebuilds the cache (only at `level`) for each size and evaluates.
+    Rebuilds the cache (only at `level`) for each size and evaluates. The
+    task is resolved against the unpruned model once, before the sizes.
     """
+    task = exact_match_task(model, task)
     points = []
     for size in sizes:
         capture = capture_calibration(model, corpus, min_tokens=size)

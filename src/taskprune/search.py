@@ -9,15 +9,17 @@ Two strategies over the factor-set grid:
   once accuracy clears the threshold a0 = (1 - epsilon) * a*.
 
 Task accuracy is deterministic: each prompt's greedy decode must equal its
-target, either an expected string (EXACT_MATCH) or the unpruned model's own
-decode (BASELINE_AGREEMENT). The decode is verified rather than generated:
-one teacher-forced pass over prompt + target gives every greedy token up to
-the first one off the target, which decides the verdict.
+expected string. A BASELINE_AGREEMENT task is an EXACT_MATCH task whose
+expected strings are the unpruned model's own decodes; exact_match_task
+resolves it so, decoding once. The decode is then verified rather than
+generated: one teacher-forced pass over prompt + target gives every greedy
+token up to the first one off the target, which decides the verdict.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import logging
 import math
@@ -35,6 +37,7 @@ from .model import STOP_BYTE, ModelWeights, check_schema, greedy_decode_batch, s
 log = logging.getLogger(__name__)
 
 FITNESS_EXP_CLAMP = 60.0
+FITNESS_WINDOW = 0.8      # bottleneck_analysis: top = fitness >= this share of the best
 
 
 class TaskMode(str, Enum):
@@ -112,40 +115,30 @@ class EvalResult:
     verdicts: tuple[bool, ...]
 
 
-def _truncate_at_stop(tokens: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for t in tokens:
-        if t == STOP_BYTE:
-            break
-        out.append(int(t))
-    return tuple(out)
-
-
-def baseline_decodes(model, task: TaskSpec) -> list[tuple[int, ...]]:
-    """Greedy decodes of the (unpruned) model for every prompt."""
+def exact_match_task(model, task: TaskSpec) -> TaskSpec:
+    """The task in EXACT_MATCH form. An EXACT_MATCH task is returned as it
+    is; a BASELINE_AGREEMENT task gets `model`'s greedy decodes, decoded once,
+    as its expected strings."""
+    if task.mode is TaskMode.EXACT_MATCH:
+        return task
     decoded = greedy_decode_batch(model, [tokenize(p) for p in task.prompts],
                                   task.max_new_tokens)
-    return [tuple(d) for d in decoded]
+    return dataclasses.replace(task, mode=TaskMode.EXACT_MATCH,
+                               expected=[bytes(d) for d in decoded])
 
 
-def evaluate(
-    model,
-    task: TaskSpec,
-    baseline_outputs: Sequence[Sequence[int]] | None = None,
-    reuse: dict | None = None,
-) -> EvalResult:
-    """Deterministic accuracy = correct decodes / prompts.
+def evaluate(model, task: TaskSpec, reuse: dict | None = None) -> EvalResult:
+    """Deterministic accuracy of an EXACT_MATCH task = correct decodes / prompts.
 
-    The decodes are verified against their targets (see greedy_decode_batch):
-    a decode is only followed up to its first token off the target, which
-    decides its verdict. `reuse` is passed on to greedy_decode_batch.
+    Each decode is verified against its expected string up to the stop byte
+    (see greedy_decode_batch): it is only followed up to its first token off
+    that target, which decides its verdict. `reuse` is passed on to
+    greedy_decode_batch.
     """
-    if task.mode is TaskMode.BASELINE_AGREEMENT and baseline_outputs is None:
-        raise ValueError("BASELINE_AGREEMENT requires baseline_outputs")
-    if task.mode is TaskMode.EXACT_MATCH:
-        targets = [_truncate_at_stop(tokenize(e)) for e in task.expected]
-    else:
-        targets = [tuple(map(int, out)) for out in baseline_outputs]
+    if task.mode is not TaskMode.EXACT_MATCH:
+        raise ValueError(f"evaluate needs an EXACT_MATCH task, not {task.mode.value}; "
+                         f"resolve it with exact_match_task first")
+    targets = [tuple(e.partition(bytes([STOP_BYTE]))[0]) for e in task.expected]
     decoded_all = greedy_decode_batch(model, [tokenize(p) for p in task.prompts],
                                       task.max_new_tokens, expected=targets, reuse=reuse)
     verdicts = tuple(tuple(decoded) == target for decoded, target in zip(decoded_all, targets))
@@ -175,21 +168,20 @@ EvalFn = Callable[[PruningVector], EvalResult]
 def make_eval_fn(model: ModelWeights, cache: AdapterCache, task: TaskSpec) -> EvalFn:
     """Default pipeline: assemble the pruned model and score it on the task.
 
-    For BASELINE_AGREEMENT the unpruned decodes are computed once and reused.
-    Each thread keeps the per-site states of the last vector it scored, so a
-    vector resumes at its first gene that differs from that one's (see
+    The task is resolved once with exact_match_task, so a BASELINE_AGREEMENT
+    task decodes the unpruned model here and not per vector. Each thread
+    keeps the per-site states of the last vector it scored, so a vector
+    resumes at its first gene that differs from that one's (see
     greedy_decode_batch's `reuse`).
     """
-    baseline = None
-    if task.mode is TaskMode.BASELINE_AGREEMENT:
-        baseline = baseline_decodes(model, task)
+    task = exact_match_task(model, task)
     local = threading.local()
 
     def run(vector: PruningVector) -> EvalResult:
         pruned = assemble(model, vector, cache)
         if not hasattr(local, "reuse"):
             local.reuse = {}
-        return evaluate(pruned, task, baseline, local.reuse)
+        return evaluate(pruned, task, local.reuse)
 
     return run
 
@@ -224,11 +216,13 @@ class EvalRecord:
         )
 
 
+def _history_line(rec: EvalRecord) -> str:
+    return json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def write_history(records: Iterable[EvalRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(_history_line(rec) for rec in records)
 
 
 def read_history(path) -> list[EvalRecord]:
@@ -454,8 +448,7 @@ def ga_search(
             rec = EvalRecord(gen, ch.genes, ch.accuracy, ch.compression, ch.fitness)
             history.append(rec)
             if stream is not None:
-                stream.write(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")))
-                stream.write("\n")
+                stream.write(_history_line(rec))
         if stream is not None:
             stream.flush()
 
@@ -564,19 +557,17 @@ def ga_search(
     )
 
 
-def bottleneck_analysis(
-    history: Sequence[EvalRecord], fitness_window: float = 0.8
-) -> tuple[list[float], list[int]]:
+def bottleneck_analysis(history: Sequence[EvalRecord]) -> tuple[list[float], list[int]]:
     """Per-site probability of staying unpruned among top-fitness chromosomes.
 
-    Top = fitness within (1 - fitness_window) of the best recorded value,
-    i.e. >= fitness_window * best. Returns (probabilities in canonical site
+    Top = fitness within (1 - FITNESS_WINDOW) of the best recorded value,
+    i.e. >= FITNESS_WINDOW * best. Returns (probabilities in canonical site
     order, indices of sites unpruned in every qualifying chromosome).
     """
     if not history:
         raise ValueError("empty history")
     best = max(rec.fitness for rec in history)
-    qualifying = [rec for rec in history if rec.fitness >= fitness_window * best]
+    qualifying = [rec for rec in history if rec.fitness >= FITNESS_WINDOW * best]
     if not qualifying:
         raise ValueError("no chromosomes within the fitness window")
     n_sites = len(qualifying[0].genes)

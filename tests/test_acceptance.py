@@ -175,8 +175,8 @@ def test_criterion_05_identity_pruning(tiny_model, tiny_cache, tiny_task):
         assert np.array_equal(base, same)
     ev = make_eval_fn(tiny_model, tiny_cache, tiny_task)
     a_star = ev(vec).accuracy
-    from taskprune.search import baseline_decodes
-    direct = evaluate(tiny_model, tiny_task, baseline_decodes(tiny_model, tiny_task))
+    from taskprune.search import exact_match_task
+    direct = evaluate(tiny_model, exact_match_task(tiny_model, tiny_task))
     assert a_star == direct.accuracy
 
 

@@ -246,7 +246,7 @@ class TestAssemble:
             b, _ = forward(pruned, tokens)
             assert np.array_equal(a, b)
 
-    def test_full_rank_equivalent_site_is_representable(self, tiny_model, tiny_cache, tiny_capture):
+    def test_full_rank_equivalent_site_is_representable(self, tiny_model, tiny_capture):
         from taskprune.calibrate import PrunedModel
         from taskprune.factorize import factorize_rrr_oracle
 
@@ -254,8 +254,7 @@ class TestAssemble:
         w = tiny_model.site_weight(site)
         x, _ = tiny_capture.entries[site]
         fm = factorize_rrr_oracle(w, x, min(w.shape))
-        pruned = PrunedModel(base=tiny_model, adapters={site: fm},
-                             vector=PruningVector.all_ones(tiny_cache.factor_set, 8))
+        pruned = PrunedModel(base=tiny_model, adapters={site: fm})
         tokens = [5, 9, 200, 31]
         a, _ = forward(tiny_model, tokens)
         b, _ = forward(pruned, tokens)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import taskprune as tp
+from taskprune import search
 from taskprune.calibrate import FactorSet, PruningVector, compression_ratio, retained_site_params
 from taskprune.factorize import FactorizeOptions
 from taskprune.linalg import derive_rng
@@ -142,3 +143,20 @@ class TestCalibrationSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "tokens,accuracy"
         assert len(lines) == 3
+
+    def test_dense_model_is_decoded_once(self, tiny_model, tiny_corpus, tiny_task,
+                                         monkeypatch):
+        free = []
+        real_decode = search.greedy_decode_batch
+
+        def counting_decode(*args, **kwargs):
+            if kwargs.get("expected") is None:
+                free.append(args[0])
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(search, "greedy_decode_batch", counting_decode)
+        opts = FactorizeOptions(epochs=1, batch_tokens=500, learning_rate=0.003, seed=0)
+        points = calibration_sweep(tiny_model, tiny_corpus, [800, 1200, 2000], tiny_task,
+                                   level=0.5, opts=opts, workers=1)
+        assert len(points) == 3
+        assert free == [tiny_model]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import taskprune as tp
+from taskprune import search
 from taskprune.calibrate import (
     DEFAULT_FACTOR_SET,
     FactorSet,
@@ -26,10 +27,10 @@ from taskprune.search import (
     GaConfig,
     TaskMode,
     TaskSpec,
-    baseline_decodes,
     binary_search_uniform,
     bottleneck_analysis,
     evaluate,
+    exact_match_task,
     fitness_from_compression,
     ga_search,
     load_task,
@@ -39,6 +40,10 @@ from taskprune.search import (
     threshold_accuracy,
     write_history,
 )
+
+
+def no_decode(*args, **kwargs):
+    raise AssertionError("decoded")
 
 
 class TestTaskSpec:
@@ -74,10 +79,28 @@ class TestTaskSpec:
 
 class TestEvaluate:
     def test_unpruned_agreement_is_one(self, tiny_model, tiny_task):
-        baseline = baseline_decodes(tiny_model, tiny_task)
-        res = evaluate(tiny_model, tiny_task, baseline)
+        res = evaluate(tiny_model, exact_match_task(tiny_model, tiny_task))
         assert res.accuracy == 1.0
         assert all(res.verdicts)
+
+    def test_exact_match_task_is_returned_as_is(self, tiny_model, monkeypatch):
+        task = TaskSpec(TaskMode.EXACT_MATCH, [b"ab", b"cd"], [b"x", b"y\x00z"], 3, 0.1)
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        assert exact_match_task(tiny_model, task) is task
+
+    def test_eval_fn_scores_agreement_as_its_resolved_form(self, tiny_model, tiny_cache,
+                                                          tiny_task):
+        resolved = exact_match_task(tiny_model, tiny_task)
+        rng = derive_rng(72)
+        vectors = [PruningVector.all_ones(tiny_cache.factor_set, 8)] + [
+            PruningVector(tuple(int(g) for g in rng.integers(0, 10, size=8)),
+                          tiny_cache.factor_set)
+            for _ in range(12)]
+        agreement = make_eval_fn(tiny_model, tiny_cache, tiny_task)
+        exact = make_eval_fn(tiny_model, tiny_cache, resolved)
+        scored = [agreement(v) for v in vectors]
+        assert scored == [exact(v) for v in vectors]
+        assert len({r.verdicts for r in scored}) > 1  # the vectors do not all agree
 
     def test_all_ones_vector_scores_a_star(self, tiny_model, tiny_cache, tiny_task):
         ev = make_eval_fn(tiny_model, tiny_cache, tiny_task)
@@ -88,10 +111,8 @@ class TestEvaluate:
         rng = derive_rng(70)
         prompts = [bytes(rng.choice(tiny_letters, size=6).tolist()) for _ in range(8)]
         probe = TaskSpec(TaskMode.BASELINE_AGREEMENT, prompts, None, 3, 0.0)
-        decodes = baseline_decodes(tiny_model, probe)
         expected = []
-        for i, d in enumerate(decodes):
-            text = bytes(d)
+        for i, text in enumerate(exact_match_task(tiny_model, probe).expected):
             if i % 2 == 1:
                 text = text[:-1] + bytes([text[-1] % 255 + 1])  # deliberately wrong
             expected.append(text)
@@ -100,15 +121,16 @@ class TestEvaluate:
         assert res.accuracy == 0.5
         assert res.verdicts == (True, False) * 4
 
-    def test_agreement_requires_baseline(self, tiny_model, tiny_task):
-        with pytest.raises(ValueError, match="baseline"):
+    def test_agreement_requires_baseline(self, tiny_model, tiny_task, monkeypatch):
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        with pytest.raises(ValueError, match="exact_match_task"):
             evaluate(tiny_model, tiny_task)
 
     def test_expected_truncates_at_stop_byte(self, tiny_model, tiny_letters):
         rng = derive_rng(71)
         prompts = [bytes(rng.choice(tiny_letters, size=6).tolist())]
         probe = TaskSpec(TaskMode.BASELINE_AGREEMENT, prompts, None, 3, 0.0)
-        decoded = bytes(baseline_decodes(tiny_model, probe)[0])
+        [decoded] = exact_match_task(tiny_model, probe).expected
         task = TaskSpec(TaskMode.EXACT_MATCH, prompts, [decoded + b"\x00garbage"], 3, 0.0)
         assert evaluate(tiny_model, task).accuracy == 1.0
 
@@ -467,6 +489,5 @@ def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_ca
             shared = list(pool.map(ev, vectors, timeout=300))
     finally:
         sys.setswitchinterval(interval)
-    baseline = baseline_decodes(tiny_model, tiny_task)
-    assert shared == [evaluate(assemble(tiny_model, v, tiny_cache), tiny_task, baseline)
-                      for v in vectors]
+    task = exact_match_task(tiny_model, tiny_task)
+    assert shared == [evaluate(assemble(tiny_model, v, tiny_cache), task) for v in vectors]
