@@ -20,6 +20,12 @@ statistics of the full-data error. With E = W - b c and R0 = Y - W X,
 
 so an error costs O(d_out d_in^2) instead of a pass over every token.
 Whitening by a factor of X X^T is the idea behind SVD-LLM's truncation.
+
+A gradient step gathers its token batch as rows of token-major copies of
+X and Y, made once per site, and updates b and c together: they are views
+into one packed buffer with one Adam state (Kingma & Ba, arXiv:1412.6980),
+one update per step as in multi-tensor Adam. Adam is elementwise, so the
+packed update has the bits of one update per factor.
 """
 
 from __future__ import annotations
@@ -211,8 +217,9 @@ class OutputAlignedSite:
     """Output-aligned factorization of one weight, at any number of ranks.
 
     Construction does the rank-independent work once: the full SVD of W,
-    sliced per rank for the svd_w initialization, and the statistics of the
-    full-data error (see the module docstring). Raises DegenerateSiteError
+    sliced per rank for the svd_w initialization, the statistics of the
+    full-data error (see the module docstring), and token-major copies of
+    the calibration pair for the batch gathers. Raises DegenerateSiteError
     when the calibration outputs have zero norm.
     """
 
@@ -223,6 +230,8 @@ class OutputAlignedSite:
         if x_cal.shape[0] != d_in or y_cal.shape[0] != d_out:
             raise ValueError("calibration pair does not match the weight shape")
         self.w, self.x_cal, self.y_cal = w, x_cal, y_cal
+        # token-major copies: a batch is then a gather of contiguous rows
+        self.xt, self.yt = np.ascontiguousarray(x_cal.T), np.ascontiguousarray(y_cal.T)
         self.y_norm = frobenius_norm(y_cal)
         if self.y_norm == 0.0:
             raise DegenerateSiteError("calibration outputs have zero norm")
@@ -251,22 +260,33 @@ class OutputAlignedSite:
         Starts from the svd_w factors, runs `opts.epochs` passes over
         shuffled token batches of `opts.batch_tokens` columns, and keeps the
         iterate with the lowest full-data error, evaluated from the per-site
-        statistics after every batch. The returned calib_error is measured
+        statistics after every batch. A batch is a gather of rows of the
+        token-major copies, and b and c live in one packed buffer that one
+        `adam_step` per batch updates. The returned calib_error is measured
         directly on the chosen iterate. No early stopping; a non-finite loss
-        raises FactorizationDiverged carrying the best finite iterate.
+        (which any non-finite entry of b or c makes) raises
+        FactorizationDiverged carrying the best finite iterate.
         """
         opts = opts or FactorizeOptions()
         if not 1 <= rank <= self.svd.sigma.size:
             raise ValueError(f"rank {rank} out of range [1, {self.svd.sigma.size}]")
-        b, c = _svd_factors(self.svd.top(rank))
-        best_err = self.error(b, c)
-        best = (b.copy(), c.copy())
+        d_out, d_in = self.w.shape
+        n_b = d_out * rank
 
-        state_b = AdamState(lr=opts.learning_rate)
-        state_c = AdamState(lr=opts.learning_rate)
+        def split(packed: np.ndarray) -> tuple[Matrix, Matrix]:
+            return packed[:n_b].reshape(d_out, rank), packed[n_b:].reshape(rank, d_in)
+
+        params = np.empty(n_b + rank * d_in)
+        grads = np.empty_like(params)
+        (b, c), (grad_b, grad_c) = split(params), split(grads)
+        b[...], c[...] = _svd_factors(self.svd.top(rank))
+        best_err = self.error(b, c)
+        best = params.copy()
+
+        state = AdamState(lr=opts.learning_rate)
         rng = derive_rng(opts.seed)
-        x_cal, y_cal = self.x_cal, self.y_cal
-        n_tokens = x_cal.shape[1]
+        xt, yt = self.xt, self.yt
+        n_tokens = xt.shape[0]
 
         # a non-finite loss is an explicitly handled signal, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -274,21 +294,19 @@ class OutputAlignedSite:
                 perm = rng.permutation(n_tokens)
                 for start in range(0, n_tokens, opts.batch_tokens):
                     idx = perm[start:start + opts.batch_tokens]
-                    grad_b, grad_c = reconstruction_gradients(b, c, x_cal[:, idx], y_cal[:, idx])
-                    adam_step(b, grad_b, state_b)
-                    adam_step(c, grad_c, state_c)
-                    err = (self.error(b, c)
-                           if np.all(np.isfinite(b)) and np.all(np.isfinite(c))
-                           else float("nan"))
+                    grad_b[...], grad_c[...] = reconstruction_gradients(
+                        b, c, xt[idx].T, yt[idx].T)
+                    adam_step(params, grads, state)
+                    err = self.error(b, c)
                     if not math.isfinite(err):
-                        raise FactorizationDiverged(self._result(*best, rank))
+                        raise FactorizationDiverged(self._result(*split(best), rank))
                     if err < best_err:
                         best_err = err
-                        best = (b.copy(), c.copy())
+                        best[...] = params
                     if _trace is not None:
                         _trace.append(best_err)
 
-        return self._result(*best, rank)
+        return self._result(*split(best), rank)
 
     def _result(self, b: Matrix, c: Matrix, rank: int) -> FactorizedMatrix:
         d_out, d_in = self.w.shape

@@ -79,6 +79,10 @@ class TransformerConfig:
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # an id of VOCAB_SIZE or more could never be written as an expected byte
+        if self.vocab_size > VOCAB_SIZE:
+            raise ValueError(f"vocab_size {self.vocab_size} exceeds {VOCAB_SIZE}: "
+                             "token ids are bytes")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
 

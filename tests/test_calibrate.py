@@ -183,6 +183,41 @@ class TestBuildCache:
         assert np.array_equal(logits, base)
 
 
+    def test_one_non_finite_step_flags_that_entry_alone(self, tiny_model, tiny_capture,
+                                                        monkeypatch):
+        fset = FactorSet((1.0, 0.5, 0.25))
+        opts = FactorizeOptions(epochs=2, batch_tokens=500, learning_rate=0.003, seed=4)
+        clean = build_cache(tiny_model, tiny_capture, fset, opts, workers=1)
+        target = SiteId(0, SiteKind.FFN1)
+        rank, _ = rank_for_factor(0.5, *site_dims(tiny_model.config, target))
+        poisoned_fit, steps = [], []
+        real = factorize.reconstruction_gradients
+
+        def poisoned(b, c, x, y):
+            grad_b, grad_c = real(b, c, x, y)
+            # the first fit of this shape in build order is layer 0's, level 0.5
+            if not poisoned_fit and b.shape == (tiny_model.config.d_ff, rank):
+                poisoned_fit.append(b)
+            if poisoned_fit and b is poisoned_fit[0]:
+                steps.append(None)
+                if len(steps) == 3:
+                    grad_c[0, 0] = np.nan
+            return grad_b, grad_c
+
+        monkeypatch.setattr(factorize, "reconstruction_gradients", poisoned)
+        cache = build_cache(tiny_model, tiny_capture, fset, opts, workers=1)
+        assert cache.flagged == {(target, 1): "factorization diverged to a non-finite loss"}
+        assert cache.entry(target, 1) is None
+        for key, fm in clean.entries.items():
+            if key != (target, 1):
+                assert (fm is None) == (cache.entries[key] is None)
+                if fm is not None:
+                    assert np.array_equal(fm.b, cache.entries[key].b)
+                    assert np.array_equal(fm.c, cache.entries[key].c)
+        vec = PruningVector.uniform(fset, len(sites(tiny_model.config)), 1)
+        pruned = assemble(tiny_model, vec, cache)
+        assert set(pruned.adapters) == set(sites(tiny_model.config)) - {target}
+
     def test_equals_per_entry_factorizations(self, tiny_model, tiny_capture):
         opts = FactorizeOptions(epochs=2, batch_tokens=500, learning_rate=0.003, seed=5)
         fset = FactorSet((1.0, 0.75, 0.25, 0.05))

@@ -352,6 +352,28 @@ class TestErrorPaths:
         assert code == 3
         assert "prompt 3 holds byte 100 >= vocab_size 64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("container", ["model", "cache", "capture"])
+    def test_vocabulary_beyond_a_byte_exits_3_at_load(
+            self, workdir, tmp_path, monkeypatch, capsys, container):
+        inputs = {"model": workdir / "model.siev", "cache": workdir / "cache.siev",
+                  "capture": workdir / "cap.siev"}
+        bad = tmp_path / f"{container}.siev"
+        rewrite_metadata(inputs[container], bad,
+                         lambda meta: meta["config"].update(vocab_size=300))
+        inputs[container] = bad
+        argv = {
+            "model": ["eval", "--model", inputs["model"], "--task", workdir / "task.json"],
+            "cache": ["search", "--mode", "up", "--model", inputs["model"],
+                      "--cache", inputs["cache"], "--task", workdir / "task.json",
+                      "--out", tmp_path / "run"],
+            "capture": ["cache", "--model", inputs["model"], "--capture", inputs["capture"],
+                        "--out", tmp_path / "out.siev"],
+        }[container]
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        assert run(argv) == 3
+        assert "vocab_size 300 exceeds 256" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out.siev").exists()
+
     def test_cache_of_another_model_exits_3_before_decoding(
             self, workdir, tmp_path, monkeypatch, capsys):
         cfg = tp.load_model(workdir / "model.siev").config

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskprune import factorize
 from taskprune.factorize import (
     UNPRUNED,
     DegenerateSiteError,
@@ -24,7 +25,7 @@ from taskprune.factorize import (
     rank_for_factor,
     reconstruction_gradients,
 )
-from taskprune.linalg import derive_rng, frobenius_rel_error
+from taskprune.linalg import AdamState, adam_step, derive_rng, frobenius_rel_error
 from taskprune.model import SiteId, SiteKind
 
 LEVELS = (1.0, 0.9, 0.75, 0.6, 0.5, 0.35, 0.25, 0.2, 0.1, 0.05)
@@ -249,6 +250,99 @@ class TestOutputAlignedGd:
         with pytest.raises(ValueError):
             factorize_output_aligned(w, rng.normal(size=(5, 10)),
                                      rng.normal(size=(6, 10)), 2)
+
+
+def unpacked_fit(site, rank, opts, trace):
+    """The gradient-descent loop with one Adam state per factor, batches
+    gathered as columns of the (d, T) calibration arrays and explicit isfinite
+    scans; `OutputAlignedSite.fit` must reproduce it bit for bit."""
+    top = site.svd.top(rank)
+    root = np.sqrt(top.sigma)
+    b, c = top.u * root, root[:, None] * top.vt
+    best_err = site.error(b, c)
+    best = (b.copy(), c.copy())
+    state_b, state_c = AdamState(lr=opts.learning_rate), AdamState(lr=opts.learning_rate)
+    rng = derive_rng(opts.seed)
+    n_tokens = site.x_cal.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(opts.epochs):
+            perm = rng.permutation(n_tokens)
+            for start in range(0, n_tokens, opts.batch_tokens):
+                idx = perm[start:start + opts.batch_tokens]
+                grad_b, grad_c = factorize.reconstruction_gradients(
+                    b, c, site.x_cal[:, idx], site.y_cal[:, idx])
+                adam_step(b, grad_b, state_b)
+                adam_step(c, grad_c, state_c)
+                err = (site.error(b, c)
+                       if np.all(np.isfinite(b)) and np.all(np.isfinite(c)) else math.nan)
+                if not math.isfinite(err):
+                    raise FactorizationDiverged(site._result(*best, rank))
+                if err < best_err:
+                    best_err = err
+                    best = (b.copy(), c.copy())
+                trace.append(best_err)
+    return site._result(*best, rank)
+
+
+def noisy_site(d_out, d_in, n_tokens, seed):
+    rng = derive_rng(seed)
+    w = rng.normal(size=(d_out, d_in))
+    x = (0.8 ** np.arange(d_in))[:, None] * rng.normal(size=(d_in, n_tokens))
+    y = w @ x + 0.05 * rng.normal(size=(d_out, n_tokens))
+    return OutputAlignedSite(w, x, y)
+
+
+class TestPackedStep:
+    N_TOKENS = 240
+
+    @pytest.mark.parametrize("d_out, d_in", [(96, 32), (32, 64), (64, 32)])
+    def test_bit_identical_to_one_adam_state_per_factor(self, d_out, d_in):
+        site = noisy_site(d_out, d_in, self.N_TOKENS, seed=d_out + d_in)
+        for rank in (1, 7, min(d_out, d_in) - 1):
+            # batches dividing T, not dividing it, and larger than T
+            for batch in (60, 70, 500):
+                for epochs in (1, 3):
+                    opts = FactorizeOptions(epochs=epochs, batch_tokens=batch,
+                                            learning_rate=0.01, seed=rank + batch)
+                    want_trace: list[float] = []
+                    got_trace: list[float] = []
+                    want = unpacked_fit(site, rank, opts, want_trace)
+                    got = site.fit(rank, opts, _trace=got_trace)
+                    assert np.array_equal(got.b, want.b)
+                    assert np.array_equal(got.c, want.c)
+                    assert got.calib_error == want.calib_error
+                    assert got_trace == want_trace
+
+    @pytest.mark.parametrize("block", ["b", "c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_factor_diverges_with_the_earlier_best(self, monkeypatch, block, bad):
+        site = noisy_site(32, 16, self.N_TOKENS, seed=5)
+        opts = FactorizeOptions(epochs=3, batch_tokens=60, learning_rate=0.01, seed=2)
+        poisoned_step = 6
+        calls = []
+        real = factorize.reconstruction_gradients
+
+        def poisoned(b, c, x, y):
+            grad_b, grad_c = real(b, c, x, y)
+            calls.append(None)
+            if len(calls) == poisoned_step:
+                (grad_b if block == "b" else grad_c)[0, 0] = bad
+            return grad_b, grad_c
+
+        monkeypatch.setattr(factorize, "reconstruction_gradients", poisoned)
+        bests = []
+        for fit in (lambda: unpacked_fit(site, 4, opts, []), lambda: site.fit(4, opts)):
+            calls.clear()
+            with pytest.raises(FactorizationDiverged) as exc:
+                fit()
+            assert len(calls) == poisoned_step
+            bests.append(exc.value.best)
+        want, got = bests
+        init = factorize_svd_w(site.w, 4, site.x_cal, site.y_cal)
+        assert want.calib_error < init.calib_error  # the best moved before the poisoned step
+        assert np.array_equal(got.b, want.b)
+        assert np.array_equal(got.c, want.c)
+        assert got.calib_error == want.calib_error
 
 
 class TestOutputAlignedSite:

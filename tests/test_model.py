@@ -211,6 +211,13 @@ class TestAttention:
         with pytest.raises(ValueError, match="divisible"):
             tp.TransformerConfig(n_layers=1, d_model=6, n_heads=4, d_ff=8)
 
+    def test_vocabulary_is_at_most_one_byte(self):
+        assert tp.TransformerConfig(n_layers=1, d_model=4, n_heads=1, d_ff=8,
+                                    vocab_size=256).vocab_size == 256
+        for vocab in (257, 300):
+            with pytest.raises(ValueError, match=f"vocab_size {vocab} exceeds 256"):
+                tp.TransformerConfig(n_layers=1, d_model=4, n_heads=1, d_ff=8, vocab_size=vocab)
+
     def test_multi_head_matches_forward_block(self, tiny_model):
         # the heads of the tapped qkv output, projected by w_out, are what
         # forward feeds the residual stream in layer 0
