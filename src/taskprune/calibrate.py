@@ -440,6 +440,9 @@ def load_cache(path) -> AdapterCache:
         for i, row in enumerate(meta["entries"]):
             site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
             fi = int(row["factor_index"])
+            # level 0 is dense and implied, so listing it counts as twice
+            if (site, fi) in entries:
+                raise FormatError(f"cache manifest lists {site} at level {fi} twice")
             if row.get("flagged"):
                 entries[(site, fi)] = None
                 flagged[(site, fi)] = str(row.get("reason", ""))
@@ -457,7 +460,6 @@ def load_cache(path) -> AdapterCache:
                 achieved_factor=float(row["achieved_factor"]),
             )
             entries[(site, fi)] = fm
-            flagged.pop((site, fi), None)
         fingerprints = str(meta["model_fingerprint"]), str(meta["calib_fingerprint"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad cache metadata: {exc}") from exc
@@ -507,13 +509,23 @@ def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:
         raise FormatError(f"not a capture file: kind={meta.get('kind')!r}")
     try:
         config = TransformerConfig.from_dict(meta["config"])
+        tokens = int(meta["tokens"])
         entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
         for i, row in enumerate(meta["sites"]):
             site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
-            entries[site] = (tensors[f"s{i}.x"], tensors[f"s{i}.y"])
+            if site in entries:
+                raise FormatError(f"capture manifest lists {site} twice")
+            d_in, d_out = site_dims(config, site)
+            x, y = tensors[f"s{i}.x"], tensors[f"s{i}.y"]
+            if x.shape != (d_in, tokens) or y.shape != (d_out, tokens):
+                raise FormatError(f"{site} has x {x.shape} and y {y.shape}, expected "
+                                  f"({d_in}, {tokens}) and ({d_out}, {tokens})")
+            entries[site] = (x, y)
+        if set(entries) != set(sites(config)):
+            raise FormatError("capture manifest does not cover every site of its config")
         capture = ActivationCapture(
             entries=entries,
-            tokens=int(meta["tokens"]),
+            tokens=tokens,
             model_fingerprint=str(meta["model_fingerprint"]),
             corpus_fingerprint=str(meta["corpus_fingerprint"]),
         )

@@ -242,10 +242,11 @@ def cmd_sweep(args) -> int:
 
 
 def _add_factorize_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--batch", type=int, default=5000)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = FactorizeOptions()
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch", type=int, default=defaults.batch_tokens)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--workers", type=int, default=None)
 
 

@@ -354,16 +354,14 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
         if site.kind is SiteKind.QKV:
             x = state
             qkv = site_product(site, layer_norm(x, layer.ln1_gain, layer.ln1_bias))
-            kv = None
+            kv = qkv[..., d_model:]
             if cache is not None:
-                kv = qkv[..., d_model:]
                 if li < len(cache):
                     kv = np.concatenate([cache[li], kv], axis=1)
                     cache[li] = kv
                 else:
                     cache.append(kv)
             if read_from and li == last:
-                kv = qkv[..., d_model:] if kv is None else kv
                 qkv, x = qkv[:, read_from:], x[:, read_from:]
             state = (x, _attention(qkv, base.config.n_heads, kv))
             # a capture block's q|k|v is its largest array; free it before the FFN
@@ -412,93 +410,72 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
     and argmax ties break toward the lower token id. Returns only the
     generated tokens.
 
-    Without `expected`, each block of equal-length prompts runs through the
-    layers once, filling a K/V cache local to this call; every later step
-    feeds only the previous step's tokens, one row per prompt.
+    `expected`, one continuation per prompt, is a draft to verify: a
+    continuation also stops at its first token off the expected one, which
+    is included. Each row is then a prefix of the free decode, and equals
+    expected[i] exactly when the free decode does.
 
-    With `expected` (verify mode), one expected continuation per prompt, a
-    continuation also stops at its first token that differs from the
-    expected one, and that token is included. Every token before the stop
-    is then the expected one, so there are no steps: each block runs once
-    over prompt + expected[:max_new-1] (padded with STOP_BYTE), and the
-    argmax at positions len(p)-1 .. len(p)+max_new-2 gives the continuation.
-    Each row is a prefix of the full decode, and equals expected[i] exactly
-    when the full decode does.
+    Each block of equal-length prompts runs through the layers once over
+    prompt + draft (expected[:max_new-1] padded with STOP_BYTE, or nothing):
+    the argmax after the last prompt token and each draft token gives the
+    first tokens, and K/V steps the rest. Only the rows whose logits are
+    read run through the last layer (see `_transformer`'s `read_from`).
 
-    Only the last max_new positions of a block are read, so its last layer
-    runs those rows alone (see `_transformer`'s `read_from`).
-
-    `reuse`, a dict that a verify-mode call reads and updates, keeps per
+    `reuse`, a dict that a call with `expected` reads and updates, keeps per
     block the input ids, each site's weights and the states after all sites
     but the last. A later call on the same ids whose leading sites have the
     same weights (the same objects) resumes after the last of them, so a
-    vector restarts at its first changed site.
+    vector restarts at its first changed site. Without `expected` it is left
+    alone: a resumed pass would leave the steps' K/V cache short.
     """
     base: ModelWeights = getattr(model, "base", model)
+    width = 0 if expected is None else max_new - 1
+    if expected is None:
+        expected, reuse = [()] * len(prompts), None
+    elif len(expected) != len(prompts):
+        raise ValueError("expected needs one continuation per prompt")
     by_len: dict[int, list[int]] = {}
     for i, p in enumerate(prompts):
         by_len.setdefault(len(p), []).append(i)
-    blocks = {
-        length: np.array([list(prompts[i]) for i in idxs], dtype=np.int64).reshape(len(idxs), length)
-        for length, idxs in by_len.items()
-    }
-    for seqs in blocks.values():
-        _check_ids(base.config, seqs, max_new)
-    if expected is not None and len(expected) != len(prompts):
-        raise ValueError("expected needs one continuation per prompt")
+    blocks = {length: np.array([list(prompts[i]) for i in idxs], dtype=np.int64)
+              for length, idxs in by_len.items()}
+    for block in blocks.values():
+        _check_ids(base.config, block, max_new)
 
     results: list[list[int]] = [[] for _ in prompts]
-    for length, step in blocks.items():
-        idxs = by_len[length]
-        if expected is None:
-            rows = _decode_block(model, step, max_new)
-        else:
-            rows = _verify_block(model, step, [expected[i] for i in idxs], max_new, reuse)
-        for i, row in zip(idxs, rows):
-            row = row[:row.index(STOP_BYTE)] if STOP_BYTE in row else row
-            results[i] = row if expected is None else _through_first_difference(row, expected[i])
+    for length, block in blocks.items():
+        draft = np.full((len(block), width), STOP_BYTE, dtype=np.int64)
+        for r, i in enumerate(by_len[length]):
+            # a token outside the vocabulary never matches, so what follows
+            # it is never read; feed STOP_BYTE in its place
+            e = [t if 0 <= t < base.config.vocab_size else STOP_BYTE for t in expected[i][:width]]
+            draft[r, :len(e)] = e
+        rows = _decode_block(model, block, draft, max_new, reuse)
+        for i, row, d in zip(by_len[length], rows, draft.tolist()):
+            results[i] = _through_stop(row, d)
     return results
 
 
-def _through_first_difference(row: list[int], target: Sequence[int]) -> list[int]:
-    """`row` up to and including its first token that differs from `target`."""
+def _through_stop(row: list[int], draft: list[int]) -> list[int]:
+    """`row` up to its first STOP_BYTE (excluded) or token off `draft` (included)."""
     for j, t in enumerate(row):
-        if j >= len(target) or t != target[j]:
+        if t == STOP_BYTE:
+            return row[:j]
+        if j < len(draft) and t != draft[j]:
             return row[:j + 1]
     return row
 
 
-def _decode_block(model, step: np.ndarray, max_new: int) -> list[list[int]]:
-    """max_new greedy tokens per row of an equal-length prompt block."""
-    base: ModelWeights = getattr(model, "base", model)
-    cache: list[np.ndarray] = []
-    new = []
-    for _ in range(max_new):
-        x, _ = _transformer(model, step, cache=cache)
-        step = np.argmax(_head(base, x[:, -1, :]), axis=1)[:, None]
-        new.append(step)
-    return np.concatenate(new, axis=1).tolist()
-
-
-def _verify_block(model, prompts: np.ndarray, expected: list[Sequence[int]], max_new: int,
+def _decode_block(model, prompts: np.ndarray, draft: np.ndarray, max_new: int,
                   reuse: dict | None) -> list[list[int]]:
-    """Per row of an equal-length prompt block, the argmax at the last prompt
-    position and after each of the first max_new-1 expected tokens, from one
-    pass over the block."""
+    """max_new greedy tokens per row of an equal-length prompt block: one pass
+    over prompt + draft, then K/V steps."""
     base: ModelWeights = getattr(model, "base", model)
     adapters: dict = getattr(model, "adapters", None) or {}
-    vocab = base.config.vocab_size
-    tail = np.full((len(expected), max_new - 1), STOP_BYTE, dtype=np.int64)
-    for r, e in enumerate(expected):
-        # a token outside the vocabulary never matches, so what follows it
-        # is never read; feed STOP_BYTE in its place
-        e = [t if 0 <= t < vocab else STOP_BYTE for t in e[:max_new - 1]]
-        tail[r, :len(e)] = e
-    ids = np.concatenate([prompts, tail], axis=1)
-    weights = [(base, adapters.get(site)) for site in sites(base.config)]
-
-    outputs: list = []
     length = prompts.shape[1]
+    ids = np.concatenate([prompts, draft], axis=1)
+    weights = [(base, adapters.get(site)) for site in sites(base.config)]
+    outputs: list = []
     if reuse is not None and length in reuse:
         seen_ids, seen_weights, seen_outputs = reuse[length]
         if np.array_equal(seen_ids, ids):
@@ -506,10 +483,16 @@ def _verify_block(model, prompts: np.ndarray, expected: list[Sequence[int]], max
                 if was[0] is not now[0] or was[1] is not now[1]:
                     break
                 outputs.append(out)
-    x, _ = _transformer(model, ids, outputs=outputs, read_from=length - 1)
+    steps = max_new - 1 - draft.shape[1]
+    cache: list[np.ndarray] | None = [] if steps else None
+    x, _ = _transformer(model, ids, cache=cache, outputs=outputs, read_from=length - 1)
     if reuse is not None:
         reuse[length] = (ids, weights, outputs[:-1])
-    return np.argmax(_head(base, x), axis=2).tolist()
+    new = [np.argmax(_head(base, x), axis=2)]
+    for _ in range(steps):
+        x, _ = _transformer(model, new[-1][:, -1:], cache=cache)
+        new.append(np.argmax(_head(base, x), axis=2))
+    return np.concatenate(new, axis=1).tolist()
 
 
 # --- SIEV container -------------------------------------------------------

@@ -12,8 +12,9 @@ Task accuracy is deterministic: each prompt's greedy decode must equal its
 expected string. A BASELINE_AGREEMENT task is an EXACT_MATCH task whose
 expected strings are the unpruned model's own decodes; exact_match_task
 resolves it so, decoding once. The decode is then verified rather than
-generated: one teacher-forced pass over prompt + target gives every greedy
-token up to the first one off the target, which decides the verdict.
+generated: the expected bytes are greedy_decode_batch's draft, and one pass
+over prompt + draft gives every greedy token up to the first one off the
+draft, which decides the verdict.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .calibrate import AdapterCache, PruningVector, assemble, compression_ratio
-from .model import STOP_BYTE, ModelWeights, check_schema, greedy_decode_batch, sites, tokenize
+from .model import STOP_BYTE, ModelWeights, check_schema, greedy_decode_batch, sites
 
 log = logging.getLogger(__name__)
 
@@ -121,8 +122,7 @@ def exact_match_task(model, task: TaskSpec) -> TaskSpec:
     as its expected strings."""
     if task.mode is TaskMode.EXACT_MATCH:
         return task
-    decoded = greedy_decode_batch(model, [tokenize(p) for p in task.prompts],
-                                  task.max_new_tokens)
+    decoded = greedy_decode_batch(model, task.prompts, task.max_new_tokens)
     return dataclasses.replace(task, mode=TaskMode.EXACT_MATCH,
                                expected=[bytes(d) for d in decoded])
 
@@ -138,10 +138,10 @@ def evaluate(model, task: TaskSpec, reuse: dict | None = None) -> EvalResult:
     if task.mode is not TaskMode.EXACT_MATCH:
         raise ValueError(f"evaluate needs an EXACT_MATCH task, not {task.mode.value}; "
                          f"resolve it with exact_match_task first")
-    targets = [tuple(e.partition(bytes([STOP_BYTE]))[0]) for e in task.expected]
-    decoded_all = greedy_decode_batch(model, [tokenize(p) for p in task.prompts],
-                                      task.max_new_tokens, expected=targets, reuse=reuse)
-    verdicts = tuple(tuple(decoded) == target for decoded, target in zip(decoded_all, targets))
+    targets = [e.partition(bytes([STOP_BYTE]))[0] for e in task.expected]
+    decoded_all = greedy_decode_batch(model, task.prompts, task.max_new_tokens,
+                                      expected=targets, reuse=reuse)
+    verdicts = tuple(bytes(decoded) == target for decoded, target in zip(decoded_all, targets))
     return EvalResult(accuracy=sum(verdicts) / len(verdicts), verdicts=verdicts)
 
 
@@ -462,14 +462,10 @@ def ga_search(
         population.append(Chromosome(genes=genes))
     population = population[:cfg.population]
 
-    def roulette_pick(pop: list[Chromosome]) -> Chromosome:
-        weights = np.array([max(ch.fitness, 0.0) for ch in pop])
-        total = weights.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(0, len(pop)))
-        else:
-            idx = int(rng.choice(len(pop), p=weights / total))
-        return pop[idx]
+    def roulette_pick(pop: list[Chromosome], p: np.ndarray | None) -> Chromosome:
+        if p is None:
+            return pop[int(rng.integers(0, len(pop)))]
+        return pop[int(rng.choice(len(pop), p=p))]
 
     def mutate(genes: tuple[int, ...]) -> tuple[int, ...]:
         out = list(genes)
@@ -517,9 +513,13 @@ def ga_search(
             next_pop: list[Chromosome] = [
                 Chromosome(genes=ch.genes) for ch in ranked[:cfg.elitism_count]
             ]
+            # selection probabilities by fitness, or None when none is positive
+            weights = np.array([max(ch.fitness, 0.0) for ch in population])
+            total = weights.sum()
+            p = weights / total if total > 0.0 else None
             while len(next_pop) < cfg.population:
-                p1 = roulette_pick(population)
-                p2 = roulette_pick(population)
+                p1 = roulette_pick(population, p)
+                p2 = roulette_pick(population, p)
                 if n_sites > 1 and rng.random() < cfg.crossover_prob:
                     point = int(rng.integers(1, n_sites))
                     g1 = p1.genes[:point] + p2.genes[point:]

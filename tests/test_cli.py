@@ -10,7 +10,8 @@ import pytest
 
 import taskprune as tp
 from taskprune import search
-from taskprune.cli import _write_json, main
+from taskprune.cli import _factorize_opts, _write_json, build_parser, main
+from taskprune.factorize import OutputAlignedSite
 from taskprune.linalg import derive_rng
 from taskprune.search import TaskMode, TaskSpec, save_task
 
@@ -386,3 +387,63 @@ class TestErrorPaths:
                     "--out", tmp_path / "run"])
         assert code == 3
         assert "cache was built for a different model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["short_x", "short_y", "missing_site", "repeated_site"])
+    def test_malformed_capture_exits_3_before_fitting(
+            self, workdir, tmp_path, monkeypatch, capsys, defect):
+        model = tp.load_model(workdir / "model.siev")
+        capture = tp.capture_calibration(model, (workdir / "corpus.bin").read_bytes(),
+                                         min_tokens=400)
+        last = tp.sites(model.config)[-1]
+        x, y = capture.entries[last]
+        if defect == "short_x":
+            capture.entries[last] = (x[:, :100], y)
+        elif defect == "short_y":
+            capture.entries[last] = (x, y[:, :100])
+        elif defect == "missing_site":
+            del capture.entries[last]
+        cap = tmp_path / "cap.siev"
+        tp.save_capture(capture, model.config, cap)
+        if defect == "repeated_site":
+            rewrite_metadata(cap, cap, lambda meta: meta["sites"][-1].update(meta["sites"][-2]))
+        fits = []
+        monkeypatch.setattr(OutputAlignedSite, "fit", lambda *args: fits.append(args))
+        code = run(["cache", "--model", workdir / "model.siev", "--capture", cap,
+                    "--out", tmp_path / "cache.siev"])
+        assert code == 3
+        assert fits == []
+        assert {
+            "short_x": "layer1.ffn2 has x (32, 100) and y (16, 400), expected (32, 400)",
+            "short_y": "layer1.ffn2 has x (32, 400) and y (16, 100), expected (32, 400)",
+            "missing_site": "capture manifest does not cover every site",
+            "repeated_site": "capture manifest lists layer1.ffn1 twice",
+        }[defect] in capsys.readouterr().err
+        assert not (tmp_path / "cache.siev").exists()
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_cache_entry_listed_twice_exits_3(self, workdir, tmp_path, monkeypatch, capsys, level):
+        # a flagged copy of the first entry, a built one, at level 1; or a
+        # row for level 0, which is dense and never stored
+        def edit(meta):
+            row = meta["entries"][0]
+            assert (row["factor_index"], row["flagged"]) == (1, False)
+            meta["entries"].append(dict(row, factor_index=level, flagged=True, reason="copy"))
+
+        rewrite_metadata(workdir / "cache.siev", tmp_path / "cache.siev", edit)
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        code = run(["search", "--mode", "up",
+                    "--model", workdir / "model.siev",
+                    "--cache", tmp_path / "cache.siev",
+                    "--task", workdir / "task.json",
+                    "--out", tmp_path / "run"])
+        assert code == 3
+        assert f"cache manifest lists layer0.qkv at level {level} twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cache", "sweep"])
+def test_factorize_defaults_are_the_options_defaults(command):
+    argv = {"cache": ["cache", "--model", "m", "--capture", "c", "--out", "o"],
+            "sweep": ["sweep", "--kind", "calibration", "--model", "m", "--task", "t",
+                      "--out", "o"]}[command]
+    args = build_parser().parse_args(argv)
+    assert _factorize_opts(args) == tp.FactorizeOptions()

@@ -558,6 +558,50 @@ class TestVerifyMode:
         assert runs == [8, 4, 5, 1]
 
 
+class TestFreeDecode:
+    def test_reuse_is_neither_read_nor_written_without_expected(self, tiny_model):
+        # the K/V steps of a free decode need every site's k|v rows, which a
+        # resumed pass would not compute
+        class Untouchable(dict):
+            def __contains__(self, key):
+                raise AssertionError("reuse was read")
+
+            __getitem__ = __contains__
+
+            def __setitem__(self, key, value):
+                raise AssertionError("reuse was written")
+
+        rng = derive_rng(48)
+        prompts = [rng.integers(1, 256, size=n).tolist() for n in (6, 6, 6, 3)]
+        plain = greedy_decode_batch(tiny_model, prompts, 3)
+        reuse = Untouchable()
+        assert greedy_decode_batch(tiny_model, prompts, 3, reuse=reuse) == plain
+        assert greedy_decode_batch(tiny_model, prompts, 1, reuse=reuse) == [
+            row[:1] for row in plain]
+        assert reuse == {}
+
+    def test_first_pass_sends_only_the_last_prompt_row_through_the_last_ffn1(
+            self, tiny_model, monkeypatch):
+        last_ffn1 = SiteId(tiny_model.config.n_layers - 1, SiteKind.FFN1)
+        shapes = []
+        real_site_product = model_module._site_product
+
+        def recording_site_product(base, adapters, site, x):
+            if site == last_ffn1:
+                shapes.append(x.shape)
+            return real_site_product(base, adapters, site, x)
+
+        monkeypatch.setattr(model_module, "_site_product", recording_site_product)
+        rng = derive_rng(49)
+        prompts = [rng.integers(1, 256, size=n).tolist() for n in (7, 7, 7, 2)]
+        decoded = greedy_decode_batch(tiny_model, prompts, 4)
+        d = tiny_model.config.d_model
+        # per block of equal-length prompts: the prompt pass, then 3 steps
+        assert shapes == [(3, 1, d)] * 4 + [(1, 1, d)] * 4
+        monkeypatch.undo()
+        assert decoded == [forward_decode(tiny_model, p, 4) for p in prompts]
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tiny_model, tmp_path):
         path = tmp_path / "model.siev"
