@@ -12,8 +12,10 @@ import concurrent.futures
 import hashlib
 import io
 import logging
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,18 +34,20 @@ from .linalg import Matrix, derive_rng
 from .model import (
     CACHE_VERSION,
     CAPTURE_VERSION,
+    KIND_ORDER,
     ActivationCapture,
     FormatError,
     ModelWeights,
     SiteId,
     SiteKind,
     TransformerConfig,
-    _mat,
     _transformer,
     check_schema,
+    checked_tensor,
     forward,  # noqa: F401 - perfbench/spans.py traces it under this module
     model_fingerprint,
-    read_container,
+    model_shapes,
+    read_kind,
     site_dims,
     sites,
     tokenize,
@@ -130,6 +134,14 @@ class PruningVector:
                    FactorSet(tuple(float(x) for x in d["factor_set"])))
 
 
+def check_calibration_size(available: int, min_tokens: int) -> None:
+    """Reject a calibration size below 1 or above the `available` corpus tokens."""
+    if min_tokens < 1:
+        raise ValueError(f"calibration needs at least 1 token, not {min_tokens}")
+    if available < min_tokens:
+        raise CorpusTooSmallError(f"corpus supplies {available} tokens, {min_tokens} required")
+
+
 def capture_calibration(
     model: ModelWeights,
     corpus: bytes | Sequence[int],
@@ -138,10 +150,7 @@ def capture_calibration(
     """Run the first min_tokens corpus tokens through the model with every
     site tapped; inputs are chunked into max_seq_len sequences."""
     tokens = tokenize(corpus) if isinstance(corpus, (bytes, str)) else list(corpus)
-    if len(tokens) < min_tokens:
-        raise CorpusTooSmallError(
-            f"corpus supplies {len(tokens)} tokens, {min_tokens} required"
-        )
+    check_calibration_size(len(tokens), min_tokens)
     tokens = tokens[:min_tokens]
     corpus_fp = hashlib.sha256(bytes(tokens)).hexdigest()
 
@@ -212,8 +221,7 @@ class AdapterCache:
 
 
 def _entry_seed(base_seed: int, site: SiteId, factor_index: int) -> int:
-    kind_idx = list(SiteKind).index(site.kind)
-    return int(derive_rng(base_seed, site.layer, kind_idx, factor_index)
+    return int(derive_rng(base_seed, site.layer, KIND_ORDER.index(site.kind), factor_index)
                .integers(0, 2 ** 63 - 1))
 
 
@@ -323,18 +331,23 @@ def assemble(model: ModelWeights, vector: PruningVector, cache: AdapterCache) ->
     return PrunedModel(base=model, adapters=adapters)
 
 
+@lru_cache(maxsize=16)
+def _all_site_dims(config: TransformerConfig) -> tuple[tuple[int, int], ...]:
+    """site_dims of every site in `sites` order; the GA asks once per vector."""
+    return tuple(site_dims(config, site) for site in sites(config))
+
+
 def _site_params(config: TransformerConfig, levels: Sequence[float] | None) -> int:
     """Parameters the prunable sites keep at per-site retention `levels`
     (all dense when None): d_in*d_out for a dense site, R*(d_in+d_out) for
     a site of rank R from the pruning-factor formula."""
-    site_list = sites(config)
+    dims = _all_site_dims(config)
     if levels is None:
-        levels = (1.0,) * len(site_list)
-    if len(levels) != len(site_list):
+        levels = (1.0,) * len(dims)
+    if len(levels) != len(dims):
         raise ValueError("levels length must equal the site count")
     total = 0
-    for site, level in zip(site_list, levels):
-        d_in, d_out = site_dims(config, site)
+    for (d_in, d_out), level in zip(dims, levels):
         rank, _ = rank_for_factor(level, d_in, d_out)
         total += d_in * d_out if rank is None else rank * (d_in + d_out)
     return total
@@ -351,12 +364,7 @@ def compression_ratio(vector: PruningVector, config: TransformerConfig) -> float
 
 def count_params(config: TransformerConfig) -> int:
     """Every parameter of the model: prunable sites, embeddings, biases, norms."""
-    d = config.d_model
-    return (_site_params(config, None)
-            + (2 * config.vocab_size + config.max_seq_len) * d  # embed, unembed, positions
-            + config.n_layers * (config.d_ff + d)               # FFN biases
-            + config.n_layers * 4 * d                           # two LayerNorm pairs
-            + 2 * d)                                            # final LayerNorm
+    return sum(math.prod(shape) for shape in model_shapes(config).values())
 
 
 def estimate_flops_per_token(config: TransformerConfig, levels: Sequence[float] | None = None) -> int:
@@ -367,15 +375,8 @@ def estimate_flops_per_token(config: TransformerConfig, levels: Sequence[float] 
 
 # --- persistence ----------------------------------------------------------
 
-def _kind_index(kind: SiteKind) -> int:
-    return list(SiteKind).index(kind)
-
-
 def cache_to_bytes(cache: AdapterCache) -> bytes:
-    ordered = sorted(
-        ((site, fi) for (site, fi) in cache.entries if fi > 0),
-        key=lambda k: (k[0].layer, _kind_index(k[0].kind), k[1]),
-    )
+    ordered = [(site, fi) for site in sites(cache.config) for fi in range(1, len(cache.factor_set))]
     manifest = []
     tensors: list[tuple[str, np.ndarray]] = []
     for i, (site, fi) in enumerate(ordered):
@@ -402,12 +403,7 @@ def cache_to_bytes(cache: AdapterCache) -> bytes:
         "factor_set": list(cache.factor_set.levels),
         "model_fingerprint": cache.model_fingerprint,
         "calib_fingerprint": cache.calib_fingerprint,
-        "options": {
-            "epochs": cache.options.epochs,
-            "batch_tokens": cache.options.batch_tokens,
-            "learning_rate": cache.options.learning_rate,
-            "seed": cache.options.seed,
-        },
+        "options": asdict(cache.options),
         "entries": manifest,
     }
     buf = io.BytesIO()
@@ -420,19 +416,12 @@ def save_cache(cache: AdapterCache, path) -> None:
 
 
 def load_cache(path) -> AdapterCache:
-    with open(path, "rb") as fh:
-        _, meta, tensors = read_container(fh, expected_version=CACHE_VERSION)
-    if meta.get("kind") != "adapter_cache":
-        raise FormatError(f"not an adapter cache: kind={meta.get('kind')!r}")
+    meta, tensors, config = read_kind(path, CACHE_VERSION, "adapter_cache")
     try:
-        config = TransformerConfig.from_dict(meta["config"])
         factor_set = FactorSet(tuple(float(x) for x in meta["factor_set"]))
-        opts = FactorizeOptions(
-            epochs=int(meta["options"]["epochs"]),
-            batch_tokens=int(meta["options"]["batch_tokens"]),
-            learning_rate=float(meta["options"]["learning_rate"]),
-            seed=int(meta["options"]["seed"]),
-        )
+        # each option takes the type of its default: int or float
+        opts = FactorizeOptions(**{f.name: type(f.default)(meta["options"][f.name])
+                                   for f in fields(FactorizeOptions)})
         entries: dict[tuple[SiteId, int], FactorizedMatrix | None] = {
             (site, 0): None for site in sites(config)
         }
@@ -452,8 +441,8 @@ def load_cache(path) -> AdapterCache:
             if not 1 <= rank < min(d_in, d_out):
                 raise FormatError(f"{site} has rank {rank}, outside [1, {min(d_in, d_out) - 1}]")
             fm = FactorizedMatrix(
-                b=_mat(tensors, f"e{i}.b", d_out, rank),
-                c=_mat(tensors, f"e{i}.c", rank, d_in),
+                b=checked_tensor(tensors, f"e{i}.b", (d_out, rank)),
+                c=checked_tensor(tensors, f"e{i}.c", (rank, d_in)),
                 rank=rank,
                 method=Method(row["method"]),
                 calib_error=float(row["calib_error"]),
@@ -478,7 +467,8 @@ def load_cache(path) -> AdapterCache:
 
 
 def capture_to_bytes(capture: ActivationCapture, config: TransformerConfig) -> bytes:
-    ordered = sorted(capture.entries, key=lambda s: (s.layer, _kind_index(s.kind)))
+    # a capture missing a site is written as it is; load_capture rejects it
+    ordered = [site for site in sites(config) if site in capture.entries]
     manifest = [{"layer": s.layer, "kind": s.kind.value} for s in ordered]
     tensors: list[tuple[str, np.ndarray]] = []
     for i, site in enumerate(ordered):
@@ -503,12 +493,8 @@ def save_capture(capture: ActivationCapture, config: TransformerConfig, path) ->
 
 
 def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:
-    with open(path, "rb") as fh:
-        _, meta, tensors = read_container(fh, expected_version=CAPTURE_VERSION)
-    if meta.get("kind") != "capture":
-        raise FormatError(f"not a capture file: kind={meta.get('kind')!r}")
+    meta, tensors, config = read_kind(path, CAPTURE_VERSION, "capture")
     try:
-        config = TransformerConfig.from_dict(meta["config"])
         tokens = int(meta["tokens"])
         entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
         for i, row in enumerate(meta["sites"]):

@@ -3,7 +3,8 @@
 Pre-norm residual blocks, byte-level vocabulary (256), learned positional
 embeddings, GeLU FFN, greedy decoding. Weights live in plain numpy arrays so
 forward passes are pure functions; the four weight matrices per layer
-(qkv / out / ffn1 / ffn2) are the prunable sites.
+(qkv / out / ffn1 / ffn2) are the prunable sites. `layer_shapes` and
+`model_shapes` are the one table of tensor names, shapes and order.
 
 Also owns the binary weight container ("SIEV"): magic, u32 version, u64
 JSON-metadata length, JSON metadata with an ordered tensor manifest, then
@@ -17,7 +18,7 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -76,9 +77,9 @@ class TransformerConfig:
     max_seq_len: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         # an id of VOCAB_SIZE or more could never be written as an expected byte
         if self.vocab_size > VOCAB_SIZE:
             raise ValueError(f"vocab_size {self.vocab_size} exceeds {VOCAB_SIZE}: "
@@ -91,19 +92,11 @@ class TransformerConfig:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformerConfig":
-        return cls(**{k: int(d[k]) for k in
-                      ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len")})
+        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
 
 
 def sites(config: TransformerConfig) -> list[SiteId]:
@@ -111,26 +104,55 @@ def sites(config: TransformerConfig) -> list[SiteId]:
     return [SiteId(layer, kind) for layer in range(config.n_layers) for kind in KIND_ORDER]
 
 
+def layer_shapes(config: TransformerConfig) -> dict[str, tuple[int, ...]]:
+    """The tensors of one layer, name -> shape, in LayerWeights field order,
+    which is also their container order: (rows, cols) for a matrix, (n,)
+    for a vector. A site's weight is `w_<kind>`, (d_out, d_in)."""
+    d, f = config.d_model, config.d_ff
+    return {
+        "w_qkv": (3 * d, d),
+        "w_out": (d, d),
+        "w_ffn1": (f, d),
+        "b_ffn1": (f,),
+        "w_ffn2": (d, f),
+        "b_ffn2": (d,),
+        "ln1_gain": (d,),
+        "ln1_bias": (d,),
+        "ln2_gain": (d,),
+        "ln2_bias": (d,),
+    }
+
+
+def model_shapes(config: TransformerConfig) -> dict[str, tuple[int, ...]]:
+    """The model container's manifest, name -> shape, in container order:
+    ModelWeights' fields, with every layer's tensors, `layer<i>.<name>`, in
+    place of `layers`."""
+    d, v = config.d_model, config.vocab_size
+    layer = layer_shapes(config).items()
+    layers = {f"layer{li}.{name}": shape for li in range(config.n_layers) for name, shape in layer}
+    return {"embed": (v, d), "pos_embed": (config.max_seq_len, d), **layers,
+            "final_gain": (d,), "final_bias": (d,), "unembed": (v, d)}
+
+
+_SITE_TENSOR = {kind: f"w_{kind.value.lower()}" for kind in SiteKind}
+
+
 def site_dims(config: TransformerConfig, site: SiteId) -> tuple[int, int]:
     """(d_in, d_out) of the site's weight matrix."""
-    d, f = config.d_model, config.d_ff
-    if site.kind is SiteKind.QKV:
-        return d, 3 * d
-    if site.kind is SiteKind.OUT:
-        return d, d
-    if site.kind is SiteKind.FFN1:
-        return d, f
-    return f, d
+    d_out, d_in = layer_shapes(config)[_SITE_TENSOR[site.kind]]
+    return d_in, d_out
 
 
 @dataclass
 class LayerWeights:
-    w_qkv: Matrix        # (3*d_model, d_model)
-    w_out: Matrix        # (d_model, d_model)
-    w_ffn1: Matrix       # (d_ff, d_model)
-    b_ffn1: np.ndarray   # (d_ff,)
-    w_ffn2: Matrix       # (d_model, d_ff)
-    b_ffn2: np.ndarray   # (d_model,)
+    """One layer's tensors; `layer_shapes` gives their shapes."""
+
+    w_qkv: Matrix
+    w_out: Matrix
+    w_ffn1: Matrix
+    b_ffn1: np.ndarray
+    w_ffn2: Matrix
+    b_ffn2: np.ndarray
     ln1_gain: np.ndarray
     ln1_bias: np.ndarray
     ln2_gain: np.ndarray
@@ -139,22 +161,34 @@ class LayerWeights:
 
 @dataclass
 class ModelWeights:
+    """Every tensor of the model; `model_shapes` gives their shapes."""
+
     config: TransformerConfig
-    embed: Matrix        # (vocab, d_model)
-    pos_embed: Matrix    # (max_seq_len, d_model)
+    embed: Matrix
+    pos_embed: Matrix
     layers: list[LayerWeights]
     final_gain: np.ndarray
     final_bias: np.ndarray
-    unembed: Matrix      # (vocab, d_model)
+    unembed: Matrix
 
     def site_weight(self, site: SiteId) -> Matrix:
-        layer = self.layers[site.layer]
-        return {
-            SiteKind.QKV: layer.w_qkv,
-            SiteKind.OUT: layer.w_out,
-            SiteKind.FFN1: layer.w_ffn1,
-            SiteKind.FFN2: layer.w_ffn2,
-        }[site.kind]
+        return getattr(self.layers[site.layer], _SITE_TENSOR[site.kind])
+
+    @classmethod
+    def from_tensors(cls, config: TransformerConfig, tensors: dict[str, np.ndarray]) -> "ModelWeights":
+        """The model whose tensors, named as in `model_shapes`, are `tensors`."""
+        tensors, names = dict(tensors), layer_shapes(config)
+        layers = [LayerWeights(**{name: tensors.pop(f"layer{li}.{name}") for name in names})
+                  for li in range(config.n_layers)]
+        return cls(config=config, layers=layers, **tensors)
+
+    def tensors(self) -> list[tuple[str, np.ndarray]]:
+        """(name, array) of every tensor, in `model_shapes` order."""
+        names = layer_shapes(self.config)
+        layers = {f"layer{li}.{name}": getattr(layer, name)
+                  for li, layer in enumerate(self.layers) for name in names}
+        return [(name, layers[name] if name in layers else getattr(self, name))
+                for name in model_shapes(self.config)]
 
 
 @dataclass
@@ -181,14 +215,15 @@ def random_model(
     collapse under any rank truncation.
     """
     rng = derive_rng(seed)
-    d, f = config.d_model, config.d_ff
 
-    def w(rows: int, cols: int) -> Matrix:
-        return rng.normal(0.0, scale, size=(rows, cols))
+    def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.ones(shape) if name.endswith("gain") else np.zeros(shape)
+        if name.startswith("w_") and spectral_decay is not None:
+            return site_w(*shape)
+        return rng.normal(0.0, scale, size=shape)
 
     def site_w(rows: int, cols: int) -> Matrix:
-        if spectral_decay is None:
-            return w(rows, cols)
         k = min(rows, cols)
         q1, _ = np.linalg.qr(rng.normal(0.0, 1.0, size=(rows, k)))
         q2, _ = np.linalg.qr(rng.normal(0.0, 1.0, size=(cols, k)))
@@ -197,30 +232,12 @@ def random_model(
         # keep the same Frobenius norm as an N(0, scale^2) matrix would have
         return mat * (scale * np.sqrt(rows * cols) / np.linalg.norm(mat))
 
-    layers = [
-        LayerWeights(
-            w_qkv=site_w(3 * d, d),
-            w_out=site_w(d, d),
-            w_ffn1=site_w(f, d),
-            b_ffn1=np.zeros(f),
-            w_ffn2=site_w(d, f),
-            b_ffn2=np.zeros(d),
-            ln1_gain=np.ones(d),
-            ln1_bias=np.zeros(d),
-            ln2_gain=np.ones(d),
-            ln2_bias=np.zeros(d),
-        )
-        for _ in range(config.n_layers)
-    ]
-    return ModelWeights(
-        config=config,
-        embed=w(config.vocab_size, d),
-        pos_embed=w(config.max_seq_len, d),
-        layers=layers,
-        final_gain=np.ones(d),
-        final_bias=np.zeros(d),
-        unembed=w(config.vocab_size, d),
-    )
+    shapes = model_shapes(config)
+    # the layers draw before the embeddings, unlike the container order, so
+    # that a seed keeps giving the same weights
+    order = [n for n in shapes if "." in n] + [n for n in shapes if "." not in n]
+    tensors = {name: init(name.rpartition(".")[2], shapes[name]) for name in order}
+    return ModelWeights.from_tensors(config, tensors)
 
 
 def tokenize(data: bytes | str) -> list[int]:
@@ -500,12 +517,9 @@ def _decode_block(model, prompts: np.ndarray, draft: np.ndarray, max_new: int,
 def write_container(buf, version: int, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> None:
     manifest = []
     for name, arr in tensors:
-        if arr.ndim == 1:
-            rows, cols = 1, arr.shape[0]
-        elif arr.ndim == 2:
-            rows, cols = arr.shape
-        else:
+        if arr.ndim not in (1, 2):
             raise ValueError(f"tensor {name!r} must be 1-D or 2-D")
+        rows, cols = np.atleast_2d(arr).shape
         manifest.append({"name": name, "rows": int(rows), "cols": int(cols)})
     meta = dict(meta)
     meta["tensors"] = manifest
@@ -567,37 +581,10 @@ def read_container(buf, expected_version: int | None = None) -> tuple[int, dict,
     return version, meta, tensors
 
 
-def _model_tensors(model: ModelWeights) -> list[tuple[str, np.ndarray]]:
-    tensors: list[tuple[str, np.ndarray]] = [
-        ("embed", model.embed),
-        ("pos_embed", model.pos_embed),
-    ]
-    for li, layer in enumerate(model.layers):
-        p = f"layer{li}."
-        tensors += [
-            (p + "w_qkv", layer.w_qkv),
-            (p + "w_out", layer.w_out),
-            (p + "w_ffn1", layer.w_ffn1),
-            (p + "b_ffn1", layer.b_ffn1),
-            (p + "w_ffn2", layer.w_ffn2),
-            (p + "b_ffn2", layer.b_ffn2),
-            (p + "ln1_gain", layer.ln1_gain),
-            (p + "ln1_bias", layer.ln1_bias),
-            (p + "ln2_gain", layer.ln2_gain),
-            (p + "ln2_bias", layer.ln2_bias),
-        ]
-    tensors += [
-        ("final_gain", model.final_gain),
-        ("final_bias", model.final_bias),
-        ("unembed", model.unembed),
-    ]
-    return tensors
-
-
 def model_to_bytes(model: ModelWeights) -> bytes:
     buf = io.BytesIO()
     write_container(buf, MODEL_VERSION, {"kind": "model", "config": model.config.to_dict()},
-                    _model_tensors(model))
+                    model.tensors())
     return buf.getvalue()
 
 
@@ -614,58 +601,37 @@ def save_model(model: ModelWeights, path) -> None:
     write_atomic(path, model_to_bytes(model))
 
 
-def _vec(tensors: dict[str, np.ndarray], name: str, size: int) -> np.ndarray:
-    arr = tensors[name]
-    if arr.shape != (1, size):
-        raise FormatError(f"tensor {name!r} has shape {arr.shape}, expected (1, {size})")
-    return arr.reshape(size).copy()
-
-
-def _mat(tensors: dict[str, np.ndarray], name: str, rows: int, cols: int) -> np.ndarray:
-    arr = tensors[name]
-    if arr.shape != (rows, cols):
-        raise FormatError(f"tensor {name!r} has shape {arr.shape}, expected ({rows}, {cols})")
-    return arr.copy()
-
-
-def load_model(path) -> ModelWeights:
+def read_kind(path, version: int, kind: str) -> tuple[dict, dict[str, np.ndarray], TransformerConfig]:
+    """Read the container at `path`, which must be of `version` and `kind`:
+    its metadata, its tensors and the TransformerConfig it records."""
     with open(path, "rb") as fh:
-        _, meta, tensors = read_container(fh, expected_version=MODEL_VERSION)
-    if meta.get("kind") != "model":
-        raise FormatError(f"not a model container: kind={meta.get('kind')!r}")
+        _, meta, tensors = read_container(fh, expected_version=version)
+    if meta.get("kind") != kind:
+        raise FormatError(f"expected a {kind} container, found kind={meta.get('kind')!r}")
     try:
         config = TransformerConfig.from_dict(meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad model config: {exc}") from exc
-    d, f = config.d_model, config.d_ff
-    layers = []
+        raise FormatError(f"bad {kind} config: {exc}") from exc
+    return meta, tensors, config
+
+
+def checked_tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The container tensor `name`, which must have `shape`; a vector is
+    stored as one row."""
+    arr = tensors[name]
+    stored = shape if len(shape) == 2 else (1, *shape)
+    if arr.shape != stored:
+        raise FormatError(f"tensor {name!r} has shape {arr.shape}, expected {stored}")
+    return arr.reshape(shape)
+
+
+def load_model(path) -> ModelWeights:
+    _, tensors, config = read_kind(path, MODEL_VERSION, "model")
     try:
-        for li in range(config.n_layers):
-            p = f"layer{li}."
-            layers.append(LayerWeights(
-                w_qkv=_mat(tensors, p + "w_qkv", 3 * d, d),
-                w_out=_mat(tensors, p + "w_out", d, d),
-                w_ffn1=_mat(tensors, p + "w_ffn1", f, d),
-                b_ffn1=_vec(tensors, p + "b_ffn1", f),
-                w_ffn2=_mat(tensors, p + "w_ffn2", d, f),
-                b_ffn2=_vec(tensors, p + "b_ffn2", d),
-                ln1_gain=_vec(tensors, p + "ln1_gain", d),
-                ln1_bias=_vec(tensors, p + "ln1_bias", d),
-                ln2_gain=_vec(tensors, p + "ln2_gain", d),
-                ln2_bias=_vec(tensors, p + "ln2_bias", d),
-            ))
-        model = ModelWeights(
-            config=config,
-            embed=_mat(tensors, "embed", config.vocab_size, d),
-            pos_embed=_mat(tensors, "pos_embed", config.max_seq_len, d),
-            layers=layers,
-            final_gain=_vec(tensors, "final_gain", d),
-            final_bias=_vec(tensors, "final_bias", d),
-            unembed=_mat(tensors, "unembed", config.vocab_size, d),
-        )
+        return ModelWeights.from_tensors(config, {
+            name: checked_tensor(tensors, name, shape) for name, shape in model_shapes(config).items()})
     except KeyError as exc:
         raise FormatError(f"missing tensor {exc}") from exc
-    return model
 
 
 def model_fingerprint(model: ModelWeights) -> str:

@@ -19,12 +19,13 @@ from .calibrate import (
     PruningVector,
     build_cache,
     capture_calibration,
+    check_calibration_size,
     compression_ratio,
     count_params,
     estimate_flops_per_token,
 )
 from .factorize import FactorizeOptions, rank_for_factor
-from .model import KIND_ORDER, ModelWeights, TransformerConfig, site_dims, sites
+from .model import KIND_ORDER, ModelWeights, TransformerConfig, site_dims, sites, tokenize
 from .search import (
     EvalFn,
     EvalRecord,
@@ -111,13 +112,18 @@ def calibration_sweep(
     """Accuracy of a fixed uniform pruning level as calibration size grows.
 
     Rebuilds the cache (only at `level`) for each size and evaluates. The
-    task is resolved against the unpruned model once, before the sizes.
+    level and every size are checked, and the task is resolved against the
+    unpruned model once, before the first size.
     """
+    factor_set = FactorSet((1.0, level))
+    available = len(tokenize(corpus))
+    for size in sizes:
+        check_calibration_size(available, size)
     task = exact_match_task(model, task)
     points = []
     for size in sizes:
         capture = capture_calibration(model, corpus, min_tokens=size)
-        cache = build_cache(model, capture, FactorSet((1.0, level)), opts, workers=workers)
+        cache = build_cache(model, capture, factor_set, opts, workers=workers)
         ev = make_eval_fn(model, cache, task)
         vec = PruningVector.uniform(cache.factor_set, len(sites(model.config)), 1)
         points.append((size, ev(vec).accuracy))

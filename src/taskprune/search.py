@@ -197,13 +197,7 @@ class EvalRecord:
     fitness: float
 
     def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "genes": list(self.genes),
-            "accuracy": self.accuracy,
-            "compression": self.compression,
-            "fitness": self.fitness,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
@@ -375,7 +369,9 @@ def ga_search(
 
     Evaluation is memoized on the gene tuple, which also makes the run
     resumable: with `resume=True` an existing history file at `history_path`
-    pre-seeds the memo so previously scored vectors are not re-decoded. A
+    pre-seeds the memo so previously scored vectors are not re-decoded. The
+    memo keeps accuracy and compression only; fitness is derived from them
+    with this run's a0 and penalty gain, which the earlier run may not share. A
     resumed run streams its records to `<history_path>.partial` and moves
     that file over the history only when it finishes, so an interrupted
     resume leaves the earlier history as it was.
@@ -391,12 +387,12 @@ def ga_search(
     a_star = baseline_res.accuracy
     a0 = threshold_accuracy(a_star, task.epsilon)
 
-    memo: dict[tuple[int, ...], tuple[float, float, float]] = {}
+    memo: dict[tuple[int, ...], tuple[float, float]] = {}
     stream_path = history_path
     if resume and history_path is not None:
         try:
             for rec in read_history(history_path):
-                memo[rec.genes] = (rec.accuracy, rec.compression, rec.fitness)
+                memo[rec.genes] = (rec.accuracy, rec.compression)
             log.info("resumed %d memoized evaluations from %s", len(memo), history_path)
         except FileNotFoundError:
             pass
@@ -405,14 +401,13 @@ def ga_search(
     stream = open(stream_path, "w", encoding="utf-8") if stream_path is not None else None
 
     def score(chrom: Chromosome) -> None:
-        a, c, f = memo[chrom.genes]
-        chrom.accuracy, chrom.compression, chrom.fitness = a, c, f
+        a, c = memo[chrom.genes]
+        chrom.accuracy, chrom.compression = a, c
+        chrom.fitness = fitness_from_compression(c, a, a0, cfg.penalty_gain)
 
-    def job(genes: tuple[int, ...]) -> tuple[float, float, float]:
+    def job(genes: tuple[int, ...]) -> tuple[float, float]:
         vec = PruningVector(genes, factor_set)
-        res = ev(vec)
-        c = compression_ratio(vec, model.config)
-        return res.accuracy, c, fitness_from_compression(c, res.accuracy, a0, cfg.penalty_gain)
+        return ev(vec).accuracy, compression_ratio(vec, model.config)
 
     def run_chunk(chunk: list[tuple[int, ...]], barrier: threading.Barrier):
         # every chunk waits until each has a thread of its own, so no thread
@@ -434,10 +429,10 @@ def ga_search(
             chunks = [pending[a:b] for a, b in zip(cuts, cuts[1:])]
             barrier = threading.Barrier(n)
             parts = pool.map(run_chunk, chunks, [barrier] * n)
-            triples = [t for part in parts for t in part]
+            scored = [t for part in parts for t in part]
         else:
-            triples = [job(genes) for genes in pending]
-        memo.update(zip(pending, triples))
+            scored = [job(genes) for genes in pending]
+        memo.update(zip(pending, scored))
         for ch in pop:
             score(ch)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 import struct
 
@@ -189,6 +190,15 @@ class TestErrorPaths:
                     "--corpus", workdir / "corpus.bin",
                     "--tokens", "999999", "--out", tmp_path / "cap.siev"])
         assert code == 3
+
+    @pytest.mark.parametrize("tokens", ["0", "-5"])
+    def test_capture_rejects_fewer_than_one_token(self, workdir, tmp_path, capsys, tokens):
+        code = run(["capture", "--model", workdir / "model.siev",
+                    "--corpus", workdir / "corpus.bin",
+                    "--tokens", tokens, "--out", tmp_path / "cap.siev"])
+        assert code == 3
+        assert "at least 1 token" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_sweep_uniform_requires_cache(self, workdir, tmp_path):
         code = run(["sweep", "--kind", "uniform",

@@ -640,6 +640,28 @@ class TestPersistence:
         with pytest.raises(FormatError, match="trailing"):
             tp.load_model(path)
 
+    def test_manifest_of_one_layer(self):
+        cfg = tp.TransformerConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
+                                   vocab_size=32, max_seq_len=12)
+        _, meta, _ = read_container(io.BytesIO(model_to_bytes(tp.random_model(cfg, seed=0))))
+        assert [(t["name"], t["rows"], t["cols"]) for t in meta["tensors"]] == [
+            ("embed", 32, 8),
+            ("pos_embed", 12, 8),
+            ("layer0.w_qkv", 24, 8),
+            ("layer0.w_out", 8, 8),
+            ("layer0.w_ffn1", 16, 8),
+            ("layer0.b_ffn1", 1, 16),
+            ("layer0.w_ffn2", 8, 16),
+            ("layer0.b_ffn2", 1, 8),
+            ("layer0.ln1_gain", 1, 8),
+            ("layer0.ln1_bias", 1, 8),
+            ("layer0.ln2_gain", 1, 8),
+            ("layer0.ln2_bias", 1, 8),
+            ("final_gain", 1, 8),
+            ("final_bias", 1, 8),
+            ("unembed", 32, 8),
+        ]
+
     def test_fingerprint_stable(self, tiny_model):
         assert tp.model_fingerprint(tiny_model) == tp.model_fingerprint(tiny_model)
         other = tp.random_model(tiny_model.config, seed=12345)
@@ -765,6 +787,16 @@ class TestAccounting:
             + cfg.n_layers * 4 * d + 2 * d              # norms
         )
         assert tp.count_params(cfg) == expected_total
+
+    @pytest.mark.parametrize("cfg", [
+        tp.TransformerConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, max_seq_len=8),
+        tp.TransformerConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, max_seq_len=32),
+        tp.TransformerConfig(n_layers=3, d_model=12, n_heads=3, d_ff=20, vocab_size=40,
+                             max_seq_len=5),
+    ], ids=str)
+    def test_count_params_equals_stored_tensors(self, cfg):
+        _, meta, _ = read_container(io.BytesIO(model_to_bytes(tp.random_model(cfg, seed=1))))
+        assert tp.count_params(cfg) == sum(t["rows"] * t["cols"] for t in meta["tensors"])
 
     def test_flops_dense(self, tiny_config):
         cfg = tiny_config

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import taskprune as tp
-from taskprune import search
+from taskprune import report, search
 from taskprune.calibrate import FactorSet, PruningVector, compression_ratio, retained_site_params
 from taskprune.factorize import FactorizeOptions
 from taskprune.linalg import derive_rng
@@ -160,3 +160,18 @@ class TestCalibrationSweep:
                                    level=0.5, opts=opts, workers=1)
         assert len(points) == 3
         assert free == [tiny_model]
+
+    @pytest.mark.parametrize("level, sizes", [
+        (1.0, [500]),           # a factor set (1.0, 1.0) is not descending
+        (0.5, [500, 99999]),    # more tokens than the corpus holds
+        (0.5, [500, 0]),
+    ])
+    def test_inputs_checked_before_any_work(self, tiny_model, tiny_corpus, tiny_task,
+                                            monkeypatch, level, sizes):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the inputs were checked")
+
+        monkeypatch.setattr(report, "exact_match_task", forbidden)
+        monkeypatch.setattr(report, "capture_calibration", forbidden)
+        with pytest.raises(ValueError):
+            calibration_sweep(tiny_model, tiny_corpus, sizes, tiny_task, level=level)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import logging
 import math
@@ -415,6 +416,24 @@ class TestGaSearch:
         assert second.history == first.history
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.jsonl"]
+
+    def test_resume_rescores_fitness_under_its_own_threshold(self, tiny_model, tiny_cache,
+                                                             tiny_task, tmp_path):
+        cfg = GaConfig(population=12, seed=14, stall_generations=2, max_generations=3)
+        path = tmp_path / "hist.jsonl"
+        strict = dataclasses.replace(tiny_task, epsilon=0.0)
+        ga_search(tiny_model, tiny_cache, strict, cfg, history_path=path)
+        loose = dataclasses.replace(tiny_task, epsilon=0.5)
+        gain = 20.0
+        resumed = ga_search(tiny_model, tiny_cache, loose,
+                            dataclasses.replace(cfg, penalty_gain=gain),
+                            history_path=path, resume=True)
+        assert resumed.a0 == threshold_accuracy(resumed.a_star, 0.5)
+        for rec in resumed.history + read_history(path):
+            assert rec.fitness == fitness_from_compression(rec.compression, rec.accuracy,
+                                                           resumed.a0, gain)
+        assert resumed.best.fitness == max(rec.fitness for rec in resumed.history
+                                           if rec.accuracy >= resumed.a0)
 
 
 class TestBottleneckAnalysis:
