@@ -438,8 +438,11 @@ def load_cache(path) -> AdapterCache:
                 continue
             d_in, d_out = site_dims(config, site)
             rank = int(row["rank"])
-            if not 1 <= rank < min(d_in, d_out):
-                raise FormatError(f"{site} has rank {rank}, outside [1, {min(d_in, d_out) - 1}]")
+            # compression_ratio counts parameters from the level, not the rank
+            expected, _ = rank_for_factor(factor_set[fi], d_in, d_out)
+            if rank != expected:
+                raise FormatError(f"{site} has rank {rank} at level {factor_set[fi]}, "
+                                  f"expected {expected}")
             fm = FactorizedMatrix(
                 b=checked_tensor(tensors, f"e{i}.b", (d_out, rank)),
                 c=checked_tensor(tensors, f"e{i}.c", (rank, d_in)),
@@ -450,7 +453,7 @@ def load_cache(path) -> AdapterCache:
             )
             entries[(site, fi)] = fm
         fingerprints = str(meta["model_fingerprint"]), str(meta["calib_fingerprint"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"bad cache metadata: {exc}") from exc
     expected = {(s, fi) for s in sites(config) for fi in range(len(factor_set))}
     if set(entries) != expected:
@@ -467,8 +470,7 @@ def load_cache(path) -> AdapterCache:
 
 
 def capture_to_bytes(capture: ActivationCapture, config: TransformerConfig) -> bytes:
-    # a capture missing a site is written as it is; load_capture rejects it
-    ordered = [site for site in sites(config) if site in capture.entries]
+    ordered = sites(config)
     manifest = [{"layer": s.layer, "kind": s.kind.value} for s in ordered]
     tensors: list[tuple[str, np.ndarray]] = []
     for i, site in enumerate(ordered):

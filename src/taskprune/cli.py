@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
 
 from .calibrate import (
-    CorpusTooSmallError,
-    CacheMismatchError,
     FactorizeOptions,
     FactorSet,
     PruningVector,
@@ -29,12 +26,12 @@ from .calibrate import (
     save_capture,
 )
 from .model import (
-    FormatError,
     TransformerConfig,
     check_schema,
     load_model,
     model_fingerprint,
-    write_atomic,
+    read_json,
+    write_json,
 )
 from .report import (
     build_report,
@@ -60,10 +57,6 @@ EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
 
 log = logging.getLogger("taskprune")
-
-
-def _write_json(obj: dict, path) -> None:
-    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _read_corpus(path) -> bytes:
@@ -148,7 +141,7 @@ def cmd_search(args) -> int:
         feasible = result.feasible
         extra = {"generations": result.generations}
 
-    _write_json(best_vector.to_dict(), os.path.join(args.out, "best.json"))
+    write_json(os.path.join(args.out, "best.json"), best_vector.to_dict())
     run = {
         "schema": "taskprune-run-v1",
         "mode": args.mode,
@@ -166,7 +159,7 @@ def cmd_search(args) -> int:
         "history": "history.jsonl",
     }
     run.update(extra)
-    _write_json(run, os.path.join(args.out, "run.json"))
+    write_json(os.path.join(args.out, "run.json"), run)
     print(f"mode={args.mode} accuracy={accuracy:.4f} a0={a0:.4f} "
           f"compression={compression_ratio(best_vector, model.config):.4f} feasible={feasible}")
     return EXIT_OK if feasible else EXIT_INFEASIBLE
@@ -180,8 +173,7 @@ def cmd_eval(args) -> int:
     if args.pruning:
         if not args.cache:
             raise ValueError("--pruning requires --cache to assemble the pruned model")
-        with open(args.pruning, "r", encoding="utf-8") as fh:
-            vector = PruningVector.from_dict(json.load(fh))
+        vector = PruningVector.from_dict(read_json(args.pruning))
         target = assemble(model, vector, load_cache(args.cache))
     result = evaluate(target, exact_match_task(model, task))
     correct = sum(result.verdicts)
@@ -190,8 +182,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(os.path.join(args.run, "run.json"), "r", encoding="utf-8") as fh:
-        run = json.load(fh)
+    run = read_json(os.path.join(args.run, "run.json"))
     check_schema(run, "taskprune-run-v1")
     factor_set = FactorSet(tuple(float(x) for x in run["factor_set"]))
     vector = PruningVector(tuple(int(i) for i in run["best_indices"]), factor_set)
@@ -320,10 +311,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (FormatError, CorpusTooSmallError, CacheMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # FormatError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -8,7 +8,8 @@ forward passes are pure functions; the four weight matrices per layer
 
 Also owns the binary weight container ("SIEV"): magic, u32 version, u64
 JSON-metadata length, JSON metadata with an ordered tensor manifest, then
-little-endian float64 payloads in manifest order.
+little-endian float64 payloads in manifest order. Files are written through
+`write_atomic` (`.partial` + rename), text ones through `write_json`/`write_csv`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -595,6 +596,22 @@ def write_atomic(path, data: bytes) -> None:
     with open(partial, "wb") as fh:
         fh.write(data)
     os.replace(partial, path)
+
+
+def write_json(path, obj) -> None:
+    """`obj` as JSON with sorted keys, indented by 2, and a trailing newline."""
+    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row: floats as `repr`, the rest as `str`."""
+    lines = [header, *([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)]
+    write_atomic(path, "".join(",".join(line) + "\n" for line in lines).encode("utf-8"))
 
 
 def save_model(model: ModelWeights, path) -> None:

@@ -3,14 +3,15 @@
 No plotting here; the CSVs carry the data the usual figures are drawn from:
 accuracy-vs-pruning curves, per-layer / per-matrix-type retention, and the
 bottleneck (probability-unpruned) table. Emission is a pure function of the
-run artifacts, so re-emitting from the same inputs is byte-identical.
+run artifacts, so re-emitting from the same inputs is byte-identical. Every
+file is written whole through model.write_json or model.write_csv, so a
+failed emission leaves the earlier file in place.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .calibrate import (
@@ -25,7 +26,8 @@ from .calibrate import (
     estimate_flops_per_token,
 )
 from .factorize import FactorizeOptions, rank_for_factor
-from .model import KIND_ORDER, ModelWeights, TransformerConfig, site_dims, sites, tokenize
+from .model import (KIND_ORDER, ModelWeights, TransformerConfig, site_dims, sites, tokenize,
+                    write_csv, write_json)
 from .search import (
     EvalFn,
     EvalRecord,
@@ -69,10 +71,8 @@ def sweep_uniform(
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("level,compression,accuracy\n")
-        for p in points:
-            fh.write(f"{p.level!r},{p.compression!r},{p.accuracy!r}\n")
+    write_csv(path, ("level", "compression", "accuracy"),
+              ((p.level, p.compression, p.accuracy) for p in points))
 
 
 def retention_tables(
@@ -131,10 +131,7 @@ def calibration_sweep(
 
 
 def write_calibration_csv(points: Sequence[tuple[int, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tokens,accuracy\n")
-        for tokens, acc in points:
-            fh.write(f"{tokens},{acc!r}\n")
+    write_csv(path, ("tokens", "accuracy"), points)
 
 
 @dataclass
@@ -163,28 +160,13 @@ class SearchReport:
     feasible: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "mode": self.mode,
-            "model_fingerprint": self.model_fingerprint,
-            "calib_fingerprint": self.calib_fingerprint,
-            "epsilon": self.epsilon,
-            "a_star": self.a_star,
-            "a0": self.a0,
-            "accuracy": self.accuracy,
-            "best_indices": list(self.best_indices),
-            "factor_set": list(self.factor_set),
-            "compression": self.compression,
-            "whole_model_compression": self.whole_model_compression,
-            "per_layer_retention": {str(k): v for k, v in self.per_layer.items()},
-            "per_kind_retention": dict(self.per_kind),
-            "bottleneck_probs": self.bottleneck_probs,
-            "bottleneck_sites": self.bottleneck_sites,
-            "flops_dense": self.flops_dense,
-            "flops_pruned": self.flops_pruned,
-            "history_file": self.history_file,
-            "feasible": self.feasible,
-        }
+        # per_site has its own CSV; string layer keys sort as JSON sorts them
+        d = asdict(self)
+        del d["per_site"]
+        d["per_layer_retention"] = {str(k): v for k, v in d.pop("per_layer").items()}
+        d["per_kind_retention"] = d.pop("per_kind")
+        d["schema"] = REPORT_SCHEMA
+        return d
 
 
 def build_report(
@@ -239,35 +221,17 @@ def build_report(
 def emit_report(report: SearchReport, out_dir) -> None:
     """Write report.json plus the CSV bundle under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-    with open(os.path.join(out_dir, "per_site_retention.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("layer,kind,level,retention\n")
-        for row in report.per_site:
-            fh.write(f"{row['layer']},{row['kind']},{row['level']!r},{row['retention']!r}\n")
-
-    with open(os.path.join(out_dir, "per_layer_retention.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("layer,mean_retention\n")
-        for layer in sorted(report.per_layer):
-            fh.write(f"{layer},{report.per_layer[layer]!r}\n")
-
-    with open(os.path.join(out_dir, "per_kind_retention.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,mean_retention\n")
-        for kind in KIND_ORDER:
-            fh.write(f"{kind.value},{report.per_kind[kind.value]!r}\n")
-
+    write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    write_csv(os.path.join(out_dir, "per_site_retention.csv"),
+              ("layer", "kind", "level", "retention"),
+              ((r["layer"], r["kind"], r["level"], r["retention"]) for r in report.per_site))
+    write_csv(os.path.join(out_dir, "per_layer_retention.csv"),
+              ("layer", "mean_retention"), sorted(report.per_layer.items()))
+    write_csv(os.path.join(out_dir, "per_kind_retention.csv"),
+              ("kind", "mean_retention"), report.per_kind.items())
     if report.bottleneck_probs is not None:
-        n_layers = max(r["layer"] for r in report.per_site) + 1
-        site_rows = [(r["layer"], r["kind"]) for r in report.per_site]
-        with open(os.path.join(out_dir, "bottlenecks.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("layer,kind,prob_unpruned,bottleneck\n")
-            for i, (layer, kind) in enumerate(site_rows):
-                flag = 1 if i in (report.bottleneck_sites or []) else 0
-                fh.write(f"{layer},{kind},{report.bottleneck_probs[i]!r},{flag}\n")
+        flagged = report.bottleneck_sites or []
+        write_csv(os.path.join(out_dir, "bottlenecks.csv"),
+                  ("layer", "kind", "prob_unpruned", "bottleneck"),
+                  ((r["layer"], r["kind"], report.bottleneck_probs[i], int(i in flagged))
+                   for i, r in enumerate(report.per_site)))

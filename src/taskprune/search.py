@@ -15,6 +15,9 @@ resolves it so, decoding once. The decode is then verified rather than
 generated: the expected bytes are greedy_decode_batch's draft, and one pass
 over prompt + draft gives every greedy token up to the first one off the
 draft, which decides the verdict.
+
+Files are written whole (model.write_atomic), except ga_search's history: it is
+streamed and flushed per generation, so that an interrupted run can be resumed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .calibrate import AdapterCache, PruningVector, assemble, compression_ratio
-from .model import STOP_BYTE, ModelWeights, check_schema, greedy_decode_batch, sites
+from .model import (STOP_BYTE, ModelWeights, check_schema, greedy_decode_batch, read_json, sites,
+                    write_atomic, write_json)
 
 log = logging.getLogger(__name__)
 
@@ -100,14 +104,11 @@ class TaskSpec:
 
 
 def save_task(task: TaskSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(task.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, task.to_dict())
 
 
 def load_task(path) -> TaskSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return TaskSpec.from_dict(json.load(fh))
+    return TaskSpec.from_dict(read_json(path))
 
 
 @dataclass
@@ -215,8 +216,7 @@ def _history_line(rec: EvalRecord) -> str:
 
 
 def write_history(records: Iterable[EvalRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_history_line(rec) for rec in records)
+    write_atomic(path, "".join(map(_history_line, records)).encode("utf-8"))
 
 
 def read_history(path) -> list[EvalRecord]:

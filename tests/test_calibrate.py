@@ -131,6 +131,14 @@ class TestCapture:
             np.testing.assert_array_equal(loaded.entries[site][0], tiny_capture.entries[site][0])
             np.testing.assert_array_equal(loaded.entries[site][1], tiny_capture.entries[site][1])
 
+    def test_save_rejects_a_capture_missing_a_site(self, tiny_model, tiny_capture, tmp_path):
+        last = sites(tiny_model.config)[-1]
+        partial = dataclasses.replace(tiny_capture, entries={
+            site: pair for site, pair in tiny_capture.entries.items() if site != last})
+        with pytest.raises(KeyError):
+            save_capture(partial, tiny_model.config, tmp_path / "cap.siev")
+        assert os.listdir(tmp_path) == []
+
 
 class TestBuildCache:
     def test_entry_counting(self, tiny_cache, tiny_model):

@@ -11,9 +11,10 @@ import pytest
 
 import taskprune as tp
 from taskprune import search
-from taskprune.cli import _factorize_opts, _write_json, build_parser, main
+from taskprune.cli import _factorize_opts, build_parser, main
 from taskprune.factorize import OutputAlignedSite
 from taskprune.linalg import derive_rng
+from taskprune.model import CAPTURE_VERSION, read_container, write_container, write_json
 from taskprune.search import TaskMode, TaskSpec, save_task
 
 
@@ -270,11 +271,11 @@ class TestErrorPaths:
 
     def test_failed_dump_keeps_earlier_run_json(self, tmp_path):
         path = tmp_path / "run.json"
-        _write_json({"schema": "taskprune-run-v1", "accuracy": 1.0}, path)
+        write_json(path, {"schema": "taskprune-run-v1", "accuracy": 1.0})
         before = path.read_bytes()
-        # json.dump has written part of the document when it meets the set
+        # the set fails the serialisation after "accuracy" is encoded
         with pytest.raises(TypeError):
-            _write_json({"accuracy": 0.5, "zz": {1, 2}}, path)
+            write_json(path, {"accuracy": 0.5, "zz": {1, 2}})
         assert path.read_bytes() == before
 
     def test_bad_cache_shape_exits_3_before_decoding(self, workdir, tmp_path, monkeypatch, capsys):
@@ -291,6 +292,26 @@ class TestErrorPaths:
                     "--out", tmp_path / "run"])
         assert code == 3
         assert "e0.b" in capsys.readouterr().err
+
+    def test_cache_rank_off_its_level_exits_3_before_decoding(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        # b and c agree with the cut rank, so only the level can tell
+        cache = tp.load_cache(workdir / "cache.siev")
+        key = (tp.sites(cache.config)[0], 1)
+        fm = cache.entries[key]
+        cut = fm.rank - 1
+        cache.entries[key] = dataclasses.replace(fm, b=fm.b[:, :cut], c=fm.c[:cut], rank=cut)
+        tp.save_cache(cache, tmp_path / "cache.siev")
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        code = run(["search", "--mode", "up",
+                    "--model", workdir / "model.siev",
+                    "--cache", tmp_path / "cache.siev",
+                    "--task", workdir / "task.json",
+                    "--out", tmp_path / "run"])
+        assert code == 3
+        assert (f"layer0.qkv has rank {cut} at level 0.9, expected {fm.rank}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("lr", ["nan", "0", "-1", "inf"])
     def test_bad_learning_rate_exits_3(self, workdir, tmp_path, lr, capsys):
@@ -410,10 +431,18 @@ class TestErrorPaths:
             capture.entries[last] = (x[:, :100], y)
         elif defect == "short_y":
             capture.entries[last] = (x, y[:, :100])
-        elif defect == "missing_site":
-            del capture.entries[last]
         cap = tmp_path / "cap.siev"
         tp.save_capture(capture, model.config, cap)
+        if defect == "missing_site":
+            # save_capture refuses such a capture, so the container of the
+            # whole one is written again without its last site
+            with open(cap, "rb") as fh:
+                _, meta, tensors = read_container(fh)
+            meta["sites"].pop()
+            kept = [(name, tensors[name]) for name in tensors
+                    if not name.startswith(f"s{len(meta['sites'])}.")]
+            with open(cap, "wb") as fh:
+                write_container(fh, CAPTURE_VERSION, meta, kept)
         if defect == "repeated_site":
             rewrite_metadata(cap, cap, lambda meta: meta["sites"][-1].update(meta["sites"][-2]))
         fits = []

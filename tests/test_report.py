@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import json
 import os
 
@@ -175,3 +177,75 @@ class TestCalibrationSweep:
         monkeypatch.setattr(report, "capture_calibration", forbidden)
         with pytest.raises(ValueError):
             calibration_sweep(tiny_model, tiny_corpus, sizes, tiny_task, level=level)
+
+
+class Unprintable:
+    def __repr__(self):
+        raise RuntimeError("cannot be printed")
+
+    __str__ = __repr__
+
+
+def write_fixed_artifacts(out) -> None:
+    """A GA report bundle, a sweep CSV, a history and a task from fixed
+    inputs. Eleven layers, so that layer "10" sorts before "2" in
+    report.json; floats whose repr needs all 17 digits; prompt bytes
+    outside ASCII."""
+    cfg = tp.TransformerConfig(n_layers=11, d_model=8, n_heads=2, d_ff=16, max_seq_len=8)
+    n_sites = len(sites(cfg))
+    history = [EvalRecord(g, tuple((3 * i + g) % 10 for i in range(n_sites)),
+                          1 / (g + 3), 0.1 * g, 30.0 - g)
+               for g in range(4)]
+    vec = PruningVector(history[0].genes)
+    emit_report(build_report(
+        model=cfg, vector=vec, mode="ga", a_star=1.0, a0=0.9, accuracy=1 / 3,
+        epsilon=0.1, model_fp="m" * 64, calib_fp="c" * 64,
+        history=history, history_file="history.jsonl",
+    ), out / "report")
+    write_sweep_csv([SweepPoint(level, compression_ratio(PruningVector.uniform(
+        tp.DEFAULT_FACTOR_SET, n_sites, i), cfg), 1 / (i + 1))
+        for i, level in enumerate(tp.DEFAULT_FACTOR_SET.levels)], out / "sweep.csv")
+    search.write_history(history, out / "history.jsonl")
+    search.save_task(search.TaskSpec(search.TaskMode.EXACT_MATCH, [b"ab\xff", b"\x80cd"],
+                                     [b"x\x00", b"\xe9"], 3, 0.1), out / "task.json")
+
+
+class TestTextArtifacts:
+    # sha256 of write_fixed_artifacts's files, as the hand-written writers
+    # before write_json and write_csv produced them
+    PINNED = {
+        "history.jsonl": "4bdaf20cc6dcd508a556e758ad5cf80108178d3ffd9ffa5d0ec354de34b89054",
+        "report/bottlenecks.csv": "feeb5723dd86107b639028f7f749d0c4e433536e2cc9d4b41d433b3082ebaea4",
+        "report/per_kind_retention.csv": "2dc3d5bf1686fd5e2f861e96edeab39a5a16790c856bb606b03043db717b0817",
+        "report/per_layer_retention.csv": "9d267df40c86bcf22f104343ca468663672e0b593663bdfd97623fd760a26397",
+        "report/per_site_retention.csv": "fb498b24b31993a40c895c90870cfc02f70ae4db228c60059e4cb2ce5be665f0",
+        "report/report.json": "fcac6d2575004aefd27d2e7944caf316ac004d3c6fb9b6a7d0085340bfd8cc04",
+        "sweep.csv": "4c1786055ff5b9557a751d7673b33ff7a1dca3b10974fa9b060d726ef9b2ef37",
+        "task.json": "3be72631b4b79570f109c645d86429006b6d113a33290ef2b97b3c9702e1e20f",
+    }
+
+    def test_bytes_are_pinned(self, tmp_path):
+        write_fixed_artifacts(tmp_path)
+        digests = {str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+        assert digests == self.PINNED
+
+    def test_failed_emission_keeps_the_earlier_bundle(self, tiny_model, tmp_path):
+        history = [EvalRecord(0, (0, 3, 5, 2, 0, 4, 9, 1), 0.97, 0.5, 10.0)]
+        rep = TestEmitReport().make_report(tiny_model, history)
+        emit_report(rep, tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        # the set fails report.json after its first keys are encoded
+        bad = dataclasses.replace(rep, bottleneck_probs=[*rep.bottleneck_probs[:-1], {0.5}])
+        with pytest.raises(TypeError):
+            emit_report(bad, tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_failed_sweep_csv_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([SweepPoint(1.0, 0.0, 1.0)], path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            write_sweep_csv([SweepPoint(0.5, 0.4, Unprintable())], path)
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+        assert path.read_bytes() == before

@@ -5,8 +5,10 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 import threading
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -76,6 +78,18 @@ class TestTaskSpec:
         # canonical serialization is byte-stable
         save_task(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        task = TaskSpec(TaskMode.EXACT_MATCH, [b"hello"], [b"yes"], 6, 0.05)
+        path = tmp_path / "task.json"
+        save_task(task, path)
+        before = path.read_bytes()
+        # a Decimal passes the epsilon check but is not JSON; it is the
+        # first value of the sorted document
+        with pytest.raises(TypeError):
+            save_task(dataclasses.replace(task, epsilon=Decimal("0.1")), path)
+        assert os.listdir(tmp_path) == ["task.json"]
+        assert path.read_bytes() == before
 
 
 class TestEvaluate:
@@ -480,6 +494,19 @@ def test_history_round_trip(tmp_path):
     # canonical JSONL is byte-stable
     write_history(read_history(path), tmp_path / "h2.jsonl")
     assert (tmp_path / "h2.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_failed_history_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "h.jsonl"
+    write_history([EvalRecord(0, (1, 2, 3), 0.5, 0.25, 1.5),
+                   EvalRecord(1, (0, 0, 9), 1.0, 0.9, 30.0)], path)
+    before = path.read_bytes()
+    # the set fails the second record's line
+    with pytest.raises(TypeError):
+        write_history([EvalRecord(0, (1, 2, 3), 0.5, 0.25, 1.5),
+                       EvalRecord(1, (0, 0, 9), {1.0}, 0.9, 30.0)], path)
+    assert os.listdir(tmp_path) == ["h.jsonl"]
+    assert path.read_bytes() == before
 
 
 def test_ga_config_validation():
