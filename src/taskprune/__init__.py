@@ -56,7 +56,6 @@ from .report import (
     sweep_uniform,
 )
 from .search import (
-    Chromosome,
     EvalRecord,
     EvalResult,
     GaConfig,

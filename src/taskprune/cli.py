@@ -119,6 +119,8 @@ def _load_run_inputs(args):
 
 
 def cmd_search(args) -> int:
+    cfg = (GaConfig(seed=args.seed, workers=args.workers, max_generations=args.max_generations)
+           if args.mode == "ga" else None)
     model, cache, task = _load_run_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     history_path = os.path.join(args.out, "history.jsonl")
@@ -132,8 +134,6 @@ def cmd_search(args) -> int:
         feasible = result.pruned
         extra = {"evaluations": result.evaluations, "warning": result.warning}
     else:
-        cfg = GaConfig(seed=args.seed, workers=args.workers,
-                       max_generations=args.max_generations)
         result = ga_search(model, cache, task, cfg, history_path=history_path)
         best_vector = PruningVector(result.best.genes, cache.factor_set)
         accuracy = result.best.accuracy

@@ -90,6 +90,8 @@ class FactorizeOptions:
         # written so that NaN fails too
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

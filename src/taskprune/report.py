@@ -186,6 +186,11 @@ def build_report(
     # the accounting needs only the shapes; perfbench/workloads.py passes
     # the ModelWeights, the CLI the TransformerConfig from run.json
     config = getattr(model, "config", model)
+    n_sites = len(sites(config))
+    for i, rec in enumerate(history or ()):
+        if len(rec.genes) != n_sites:
+            raise ValueError(f"history record {i} has {len(rec.genes)} genes, "
+                             f"but the config has {n_sites} sites")
     per_site, per_layer, per_kind = retention_tables(vector, config)
     comp = compression_ratio(vector, config)
     flops_dense = estimate_flops_per_token(config)

@@ -268,33 +268,25 @@ def binary_search_uniform(
     def uniform(idx: int) -> PruningVector:
         return PruningVector.uniform(factor_set, n_sites, idx)
 
-    results: dict[int, EvalResult] = {}
-    results[0] = ev(uniform(0))
+    # level index -> result, in visiting order; bisection never revisits one
+    results = {0: ev(uniform(0))}
     a_star = results[0].accuracy
     a0 = threshold_accuracy(a_star, task.epsilon)
-
-    history: list[EvalRecord] = []
-
-    def record(step: int, idx: int, res: EvalResult) -> None:
-        vec = uniform(idx)
-        c = compression_ratio(vec, model.config)
-        history.append(EvalRecord(step, vec.indices, res.accuracy, c,
-                                  fitness_from_compression(c, res.accuracy, a0)))
-
-    record(0, 0, results[0])
     low, high = 0, len(factor_set)
-    evaluations = 0
     while high - low > 1:
         mid = (low + high) // 2
-        res = ev(uniform(mid))
-        evaluations += 1
-        results[mid] = res
-        record(evaluations, mid, res)
-        if res.accuracy >= a0:
+        results[mid] = ev(uniform(mid))
+        if results[mid].accuracy >= a0:
             low = mid
         else:
             high = mid
 
+    history = []
+    for step, (idx, res) in enumerate(results.items()):
+        vec = uniform(idx)
+        c = compression_ratio(vec, model.config)
+        history.append(EvalRecord(step, vec.indices, res.accuracy, c,
+                                  fitness_from_compression(c, res.accuracy, a0)))
     warning = None
     if low == 0:
         warning = "no pruning level meets the accuracy threshold; returning the unpruned vector"
@@ -305,7 +297,7 @@ def binary_search_uniform(
         a_star=a_star,
         a0=a0,
         level_index=low,
-        evaluations=evaluations,
+        evaluations=len(results) - 1,
         warning=warning,
         history=history,
     )
@@ -325,7 +317,7 @@ class GaConfig:
     elitism_count: int = 1
     seed: int = 0
     workers: int = 1
-    max_generations: int | None = None
+    max_generations: int | None = None     # None: stop on stall alone
 
     def __post_init__(self) -> None:
         if self.n_uniform_seeds > self.population:
@@ -335,19 +327,17 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.elitism_count < 0 or self.elitism_count > self.population:
             raise ValueError("elitism_count out of range")
-
-
-@dataclass
-class Chromosome:
-    genes: tuple[int, ...]
-    fitness: float | None = None
-    accuracy: float | None = None
-    compression: float | None = None
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.stall_generations < 1:
+            raise ValueError("stall_generations must be >= 1")
+        if self.max_generations is not None and self.max_generations < 1:
+            raise ValueError("max_generations must be >= 1")
 
 
 @dataclass
 class GaResult:
-    best: Chromosome
+    best: EvalRecord
     history: list[EvalRecord]
     a_star: float
     a0: float
@@ -364,8 +354,12 @@ def ga_search(
     history_path=None,
     resume: bool = False,
 ) -> GaResult:
-    """Evolve per-site pruning levels; returns the best chromosome and the
-    full evaluation history (one record per population member per generation).
+    """Evolve per-site pruning levels; returns the best evaluation record and
+    the full evaluation history (one record per population member per
+    generation).
+
+    A population is a list of gene tuples; its scored form is the list of
+    records it adds to the history, and selection reads those records.
 
     Evaluation is memoized on the gene tuple, which also makes the run
     resumable: with `resume=True` an existing history file at `history_path`
@@ -383,8 +377,7 @@ def ga_search(
     ev = eval_fn or make_eval_fn(model, cache, task)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[cfg.seed]))
 
-    baseline_res = ev(PruningVector.all_ones(factor_set, n_sites))
-    a_star = baseline_res.accuracy
+    a_star = ev(PruningVector.all_ones(factor_set, n_sites)).accuracy
     a0 = threshold_accuracy(a_star, task.epsilon)
 
     memo: dict[tuple[int, ...], tuple[float, float]] = {}
@@ -400,11 +393,6 @@ def ga_search(
 
     stream = open(stream_path, "w", encoding="utf-8") if stream_path is not None else None
 
-    def score(chrom: Chromosome) -> None:
-        a, c = memo[chrom.genes]
-        chrom.accuracy, chrom.compression = a, c
-        chrom.fitness = fitness_from_compression(c, a, a0, cfg.penalty_gain)
-
     def job(genes: tuple[int, ...]) -> tuple[float, float]:
         vec = PruningVector(genes, factor_set)
         return ev(vec).accuracy, compression_ratio(vec, model.config)
@@ -418,11 +406,13 @@ def ga_search(
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers)
             if cfg.workers > 1 else None)
     resumed = len(memo)
+    history: list[EvalRecord] = []
 
-    def eval_population(pop: list[Chromosome]) -> None:
+    def evaluate_generation(generation: int,
+                            population: list[tuple[int, ...]]) -> list[EvalRecord]:
         # sorted, so that neighbours share leading genes; each worker scores
         # one contiguous run of them and resumes from its own last vector
-        pending = sorted({ch.genes for ch in pop if ch.genes not in memo})
+        pending = sorted(set(population) - memo.keys())
         n = min(cfg.workers, len(pending))
         if n > 1:
             cuts = [len(pending) * i // n for i in range(n + 1)]
@@ -433,34 +423,22 @@ def ga_search(
         else:
             scored = [job(genes) for genes in pending]
         memo.update(zip(pending, scored))
-        for ch in pop:
-            score(ch)
-
-    history: list[EvalRecord] = []
-
-    def record_generation(gen: int, pop: list[Chromosome]) -> None:
-        for ch in pop:
-            rec = EvalRecord(gen, ch.genes, ch.accuracy, ch.compression, ch.fitness)
-            history.append(rec)
-            if stream is not None:
-                stream.write(_history_line(rec))
+        records = []
+        for genes in population:
+            a, c = memo[genes]
+            records.append(EvalRecord(generation, genes, a, c,
+                                      fitness_from_compression(c, a, a0, cfg.penalty_gain)))
+        history.extend(records)
         if stream is not None:
+            stream.write("".join(map(_history_line, records)))
             stream.flush()
+        return records
 
     # Initial population: one uniform chromosome per factor level, the rest
     # with genes drawn uniformly from the grid.
-    population: list[Chromosome] = []
-    for i in range(min(cfg.n_uniform_seeds, n_levels)):
-        population.append(Chromosome(genes=(i,) * n_sites))
+    population = [(i,) * n_sites for i in range(min(cfg.n_uniform_seeds, n_levels))]
     while len(population) < cfg.population:
-        genes = tuple(int(g) for g in rng.integers(0, n_levels, size=n_sites))
-        population.append(Chromosome(genes=genes))
-    population = population[:cfg.population]
-
-    def roulette_pick(pop: list[Chromosome], p: np.ndarray | None) -> Chromosome:
-        if p is None:
-            return pop[int(rng.integers(0, len(pop)))]
-        return pop[int(rng.choice(len(pop), p=p))]
+        population.append(tuple(int(g) for g in rng.integers(0, n_levels, size=n_sites)))
 
     def mutate(genes: tuple[int, ...]) -> tuple[int, ...]:
         out = list(genes)
@@ -470,24 +448,22 @@ def ga_search(
                 out[i] = min(max(out[i] + step, 0), n_levels - 1)
         return tuple(out)
 
-    best: Chromosome | None = None
-    best_feasible: Chromosome | None = None
+    best: EvalRecord | None = None
+    best_feasible: EvalRecord | None = None
     stall_ref = -math.inf
     stall = 0
     generation = 0
 
     try:
         while True:
-            eval_population(population)
-            record_generation(generation, population)
-
-            for ch in population:
-                if best is None or ch.fitness > best.fitness:
-                    best = ch
-                if ch.accuracy >= a0 and (
-                    best_feasible is None or ch.fitness > best_feasible.fitness
+            records = evaluate_generation(generation, population)
+            for rec in records:
+                if best is None or rec.fitness > best.fitness:
+                    best = rec
+                if rec.accuracy >= a0 and (
+                    best_feasible is None or rec.fitness > best_feasible.fitness
                 ):
-                    best_feasible = ch
+                    best_feasible = rec
 
             improved = (best.fitness > stall_ref * (1.0 + cfg.stall_improvement)
                         if stall_ref > 0.0 else best.fitness > stall_ref)
@@ -504,27 +480,22 @@ def ga_search(
                 log.warning("stopping at max_generations=%d before stall", cfg.max_generations)
                 break
 
-            ranked = sorted(population, key=lambda ch: -ch.fitness)
-            next_pop: list[Chromosome] = [
-                Chromosome(genes=ch.genes) for ch in ranked[:cfg.elitism_count]
-            ]
-            # selection probabilities by fitness, or None when none is positive
-            weights = np.array([max(ch.fitness, 0.0) for ch in population])
+            ranked = sorted(records, key=lambda rec: -rec.fitness)
+            population = [rec.genes for rec in ranked[:cfg.elitism_count]]
+            # roulette selection by fitness, or uniform when none is positive
+            weights = np.array([max(rec.fitness, 0.0) for rec in records])
             total = weights.sum()
             p = weights / total if total > 0.0 else None
-            while len(next_pop) < cfg.population:
-                p1 = roulette_pick(population, p)
-                p2 = roulette_pick(population, p)
+            n = len(records)
+            while len(population) < cfg.population:
+                g1, g2 = (records[int(rng.integers(0, n) if p is None
+                                      else rng.choice(n, p=p))].genes for _ in range(2))
                 if n_sites > 1 and rng.random() < cfg.crossover_prob:
                     point = int(rng.integers(1, n_sites))
-                    g1 = p1.genes[:point] + p2.genes[point:]
-                    g2 = p2.genes[:point] + p1.genes[point:]
-                else:
-                    g1, g2 = p1.genes, p2.genes
+                    g1, g2 = g1[:point] + g2[point:], g2[:point] + g1[point:]
                 for genes in (g1, g2):
-                    if len(next_pop) < cfg.population:
-                        next_pop.append(Chromosome(genes=mutate(genes)))
-            population = next_pop
+                    if len(population) < cfg.population:
+                        population.append(mutate(genes))
             generation += 1
     finally:
         if pool is not None:
@@ -538,12 +509,11 @@ def ga_search(
              len(history), unique, len(history) - unique)
 
     feasible = best_feasible is not None
-    winner = best_feasible if feasible else best
     if not feasible:
         log.warning("no chromosome met the accuracy threshold a0=%.4f; "
                     "returning the best by fitness", a0)
     return GaResult(
-        best=winner,
+        best=best_feasible if feasible else best,
         history=history,
         a_star=a_star,
         a0=a0,

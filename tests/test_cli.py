@@ -356,6 +356,40 @@ class TestErrorPaths:
         assert "taskprune-run-v1" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
+    def test_history_of_another_site_count_exits_3_before_writing(self, workdir, tmp_path,
+                                                                 capsys):
+        shutil.copytree(workdir / "run_ga", tmp_path / "run")
+        search.write_history([search.EvalRecord(0, (1, 2, 3), 1.0, 0.5, 2.0)],
+                             tmp_path / "run" / "history.jsonl")
+        code = run(["report", "--run", tmp_path / "run", "--out", tmp_path / "report"])
+        assert code == 3
+        assert "history record 0 has 3 genes, but the config has 8 sites" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("command, option, message", [
+        ("search", ["--seed", "-1"], "seed must be >= 0"),
+        ("search", ["--max-generations", "0"], "max_generations must be >= 1"),
+        ("cache", ["--seed", "-1"], "seed must be >= 0"),
+        ("sweep", ["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["search_seed", "search_max_generations", "cache_seed", "sweep_seed"])
+    def test_bad_seed_or_stop_rule_exits_3_before_any_work(
+            self, workdir, tmp_path, monkeypatch, capsys, command, option, message):
+        inputs = {"search": ["search", "--mode", "ga", "--model", workdir / "model.siev",
+                             "--cache", workdir / "cache.siev", "--task", workdir / "task.json"],
+                  "cache": ["cache", "--model", workdir / "model.siev",
+                            "--capture", workdir / "cap.siev"],
+                  "sweep": ["sweep", "--kind", "calibration", "--model", workdir / "model.siev",
+                            "--task", workdir / "task.json", "--corpus", workdir / "corpus.bin",
+                            "--sizes", "800"]}[command]
+        calls = []
+        monkeypatch.setattr(search, "greedy_decode_batch", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(OutputAlignedSite, "fit", lambda *args: calls.append(args))
+        code = run(inputs + option + ["--out", tmp_path / "out"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == []
+
     def test_prompt_overflowing_the_context_exits_3_before_decoding(
             self, workdir, tmp_path, monkeypatch, capsys):
         task = json.loads((workdir / "task.json").read_text())

@@ -212,6 +212,8 @@ class TestOutputAlignedGd:
             FactorizeOptions(epochs=0)
         with pytest.raises(ValueError):
             FactorizeOptions(batch_tokens=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            FactorizeOptions(seed=-1)
 
     def test_best_so_far_non_increasing(self):
         w, x, y = misaligned_instance(52)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -24,7 +25,6 @@ from taskprune.calibrate import (
 )
 from taskprune.linalg import derive_rng
 from taskprune.search import (
-    Chromosome,
     EvalRecord,
     EvalResult,
     GaConfig,
@@ -516,6 +516,13 @@ def test_ga_config_validation():
         GaConfig(crossover_prob=1.5)
     with pytest.raises(ValueError):
         GaConfig(elitism_count=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        GaConfig(seed=-1)
+    with pytest.raises(ValueError, match="stall_generations must be >= 1"):
+        GaConfig(stall_generations=0)
+    with pytest.raises(ValueError, match="max_generations must be >= 1"):
+        GaConfig(max_generations=0)
+    GaConfig(max_generations=None)      # no limit
 
 
 def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_cache, tiny_task):
@@ -537,3 +544,65 @@ def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_ca
         sys.setswitchinterval(interval)
     task = exact_match_task(tiny_model, tiny_task)
     assert shared == [evaluate(assemble(tiny_model, v, tiny_cache), task) for v in vectors]
+
+
+# --- histories pinned across commits ------------------------------------------
+#
+# The eval function below is synthetic (accuracy is a pure function of the
+# genes), so these digests move only when the RNG stream, the record order or
+# the fitness bookkeeping does, never with model numerics.
+
+PIN_TASK = TaskSpec(TaskMode.BASELINE_AGREEMENT, [b"ab"], None, 2, 0.1)
+PIN_GA = GaConfig(population=24, stall_generations=6, max_generations=10)
+
+
+def synthetic_eval(vector: PruningVector) -> EvalResult:
+    # sites 0 and 5 are bottlenecks; the others cost a little in aggregate
+    g = vector.indices
+    hits = max(32 - 3 * g[0] - 3 * g[5] - sum(g) // 8, 0)
+    return EvalResult(accuracy=hits / 32, verdicts=(hits == 32,))
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def best_digest(best) -> str:
+    fields = {"genes": list(best.genes), "accuracy": best.accuracy,
+              "compression": best.compression, "fitness": best.fitness}
+    return sha(json.dumps(fields, sort_keys=True).encode())
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("seed, history_sha, best_sha", [
+    (0, "ee02b0a8606fe55f", "6a510fdba38ad669"),
+    (7, "7faa397c63882fcc", "6a510fdba38ad669"),
+])
+def test_ga_history_is_pinned(tiny_model, tiny_cache, tmp_path, workers, seed,
+                              history_sha, best_sha):
+    path = tmp_path / "history.jsonl"
+    result = ga_search(tiny_model, tiny_cache, PIN_TASK,
+                       dataclasses.replace(PIN_GA, seed=seed, workers=workers),
+                       eval_fn=synthetic_eval, history_path=path)
+    assert (sha(path.read_bytes()), best_digest(result.best)) == (history_sha, best_sha)
+
+
+def test_resumed_ga_history_is_pinned(tiny_model, tiny_cache, tmp_path):
+    path = tmp_path / "history.jsonl"
+    ga_search(tiny_model, tiny_cache, PIN_TASK, dataclasses.replace(PIN_GA, seed=0),
+              eval_fn=synthetic_eval, history_path=path)
+    # another seed and threshold: the memo serves the accuracies, the fitness
+    # is derived again under this run's a0
+    result = ga_search(tiny_model, tiny_cache, dataclasses.replace(PIN_TASK, epsilon=0.2),
+                       dataclasses.replace(PIN_GA, seed=7), eval_fn=synthetic_eval,
+                       history_path=path, resume=True)
+    assert (sha(path.read_bytes()), best_digest(result.best)) == ("c29a65194aa7f5e6",
+                                                                  "56ce1c3d37ffa849")
+
+
+def test_binary_search_history_is_pinned(tiny_model, tiny_cache, tmp_path):
+    task = dataclasses.replace(PIN_TASK, epsilon=0.5)
+    result = binary_search_uniform(tiny_model, tiny_cache, task, eval_fn=synthetic_eval)
+    write_history(result.history, tmp_path / "history.jsonl")
+    assert (result.level_index, result.evaluations) == (2, 3)
+    assert sha((tmp_path / "history.jsonl").read_bytes()) == "46111aa2b8c21dbb"
