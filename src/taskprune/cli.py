@@ -139,7 +139,7 @@ def cmd_search(args) -> int:
         accuracy = result.best.accuracy
         a_star, a0 = result.a_star, result.a0
         feasible = result.feasible
-        extra = {"generations": result.generations}
+        extra = {"generations": result.generations, "seed": args.seed}
 
     write_json(os.path.join(args.out, "best.json"), best_vector.to_dict())
     run = {
@@ -152,7 +152,6 @@ def cmd_search(args) -> int:
         "best_indices": list(best_vector.indices),
         "factor_set": list(cache.factor_set.levels),
         "feasible": feasible,
-        "seed": args.seed,
         "config": model.config.to_dict(),
         "model_fingerprint": model_fingerprint(model),
         "calib_fingerprint": cache.calib_fingerprint,

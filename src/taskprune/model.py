@@ -21,6 +21,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,9 +101,10 @@ class TransformerConfig:
         return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
 
 
-def sites(config: TransformerConfig) -> list[SiteId]:
+@lru_cache(maxsize=16)
+def sites(config: TransformerConfig) -> tuple[SiteId, ...]:
     """Canonical prunable-site order: layer-major, qkv/out/ffn1/ffn2 within a layer."""
-    return [SiteId(layer, kind) for layer in range(config.n_layers) for kind in KIND_ORDER]
+    return tuple(SiteId(layer, kind) for layer in range(config.n_layers) for kind in KIND_ORDER)
 
 
 def layer_shapes(config: TransformerConfig) -> dict[str, tuple[int, ...]]:
@@ -258,6 +260,15 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
+@lru_cache(maxsize=256)
+def _causal_mask(n_q: int, n_k: int) -> np.ndarray:
+    """Causal mask of the last n_q of n_k positions, 0 or -inf: as x + 0.0 is x
+    and x + -inf is -inf, adding it gives the bits of setting -inf."""
+    mask = np.where(np.triu(np.ones((n_q, n_k), dtype=bool), k=1 + n_k - n_q), -np.inf, 0.0)
+    mask.flags.writeable = False
+    return mask
+
+
 def _attention(qkv: np.ndarray, n_heads: int, kv: np.ndarray | None = None) -> np.ndarray:
     """Causal scaled dot-product attention over a (batch, seq, 3*d) block of
     packed q/k/v rows; returns the concatenated heads, (batch, seq, d).
@@ -272,12 +283,12 @@ def _attention(qkv: np.ndarray, n_heads: int, kv: np.ndarray | None = None) -> n
         kv = qkv[..., d_model:]
     q, k, v = qkv[..., :d_model], kv[..., :d_model], kv[..., d_model:]
     n_q, n_k = q.shape[1], k.shape[1]
-    mask = np.triu(np.ones((n_q, n_k), dtype=bool), k=1 + n_k - n_q)
+    mask = _causal_mask(n_q, n_k)
     outs = []
     for h in range(n_heads):
         sl = slice(h * head_dim, (h + 1) * head_dim)
         scores = (q[..., sl] @ k[..., sl].transpose(0, 2, 1)) / np.sqrt(float(head_dim))
-        scores[:, mask] = -np.inf
+        scores += mask
         scores -= scores.max(axis=-1, keepdims=True)
         weights = np.exp(scores)
         weights /= weights.sum(axis=-1, keepdims=True)
@@ -431,7 +442,8 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
     `expected`, one continuation per prompt, is a draft to verify: a
     continuation also stops at its first token off the expected one, which
     is included. Each row is then a prefix of the free decode, and equals
-    expected[i] exactly when the free decode does.
+    expected[i] exactly when the free decode does. Both stops are one
+    vectorized cut per block (`_stop_cuts`).
 
     Each block of equal-length prompts runs through the layers once over
     prompt + draft (expected[:max_new-1] padded with STOP_BYTE, or nothing):
@@ -439,12 +451,14 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
     first tokens, and K/V steps the rest. Only the rows whose logits are
     read run through the last layer (see `_transformer`'s `read_from`).
 
-    `reuse`, a dict that a call with `expected` reads and updates, keeps per
-    block the input ids, each site's weights and the states after all sites
-    but the last. A later call on the same ids whose leading sites have the
-    same weights (the same objects) resumes after the last of them, so a
-    vector restarts at its first changed site. Without `expected` it is left
-    alone: a resumed pass would leave the steps' K/V cache short.
+    `reuse`, a dict that a call with `expected` reads and updates, keeps the
+    blocks' layout, built once per prompts, expected strings and max_new
+    (held by reference: edit no prompt in place), and per block each site's
+    weights and the states after all sites but the last. A later call on the
+    same layout whose leading sites have the same weights (the same objects)
+    resumes after the last of them, so a vector restarts at its first
+    changed site. A free decode uses a dict of its own: a resumed pass would
+    leave the steps' K/V cache short.
     """
     base: ModelWeights = getattr(model, "base", model)
     width = 0 if expected is None else max_new - 1
@@ -452,65 +466,69 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
         expected, reuse = [()] * len(prompts), None
     elif len(expected) != len(prompts):
         raise ValueError("expected needs one continuation per prompt")
-    by_len: dict[int, list[int]] = {}
-    for i, p in enumerate(prompts):
-        by_len.setdefault(len(p), []).append(i)
-    blocks = {length: np.array([list(prompts[i]) for i in idxs], dtype=np.int64)
-              for length, idxs in by_len.items()}
-    for block in blocks.values():
-        _check_ids(base.config, block, max_new)
-
+    reuse = {} if reuse is None else reuse
+    key = (max_new, tuple(prompts), tuple(expected))
+    if reuse.get("key") != key:     # a new layout drops the states of the old one
+        reuse.clear()
+        reuse.update(key=key, layout=_decode_layout(base.config, prompts, expected, width, max_new))
     results: list[list[int]] = [[] for _ in prompts]
-    for length, block in blocks.items():
-        draft = np.full((len(block), width), STOP_BYTE, dtype=np.int64)
-        for r, i in enumerate(by_len[length]):
-            # a token outside the vocabulary never matches, so what follows
-            # it is never read; feed STOP_BYTE in its place
-            e = [t if 0 <= t < base.config.vocab_size else STOP_BYTE for t in expected[i][:width]]
-            draft[r, :len(e)] = e
-        rows = _decode_block(model, block, draft, max_new, reuse)
-        for i, row, d in zip(by_len[length], rows, draft.tolist()):
-            results[i] = _through_stop(row, d)
+    for idxs, ids, length in reuse["layout"]:
+        rows = _decode_block(model, ids, length, max_new, reuse)
+        for i, row, n in zip(idxs, rows.tolist(), _stop_cuts(rows, ids[:, length:]).tolist()):
+            results[i] = row[:n]
     return results
 
 
-def _through_stop(row: list[int], draft: list[int]) -> list[int]:
-    """`row` up to its first STOP_BYTE (excluded) or token off `draft` (included)."""
-    for j, t in enumerate(row):
-        if t == STOP_BYTE:
-            return row[:j]
-        if j < len(draft) and t != draft[j]:
-            return row[:j + 1]
-    return row
+def _decode_layout(config: TransformerConfig, prompts, expected, width: int,
+                   max_new: int) -> list[tuple[list[int], np.ndarray, int]]:
+    """(prompt indices, checked prompt + draft ids, prompt length) per length."""
+    by_len: dict[int, list[int]] = {}
+    for i, p in enumerate(prompts):
+        by_len.setdefault(len(p), []).append(i)
+    layout = []
+    for length, idxs in by_len.items():
+        ids = np.full((len(idxs), length + width), STOP_BYTE, dtype=np.int64)
+        ids[:, :length] = [list(prompts[i]) for i in idxs]
+        _check_ids(config, ids[:, :length], max_new)
+        for r, i in enumerate(idxs):
+            # a token outside the vocabulary never matches, so what follows
+            # it is never read; feed STOP_BYTE in its place
+            e = [t if 0 <= t < config.vocab_size else STOP_BYTE for t in expected[i][:width]]
+            ids[r, length:length + len(e)] = e
+        layout.append((idxs, ids, length))
+    return layout
 
 
-def _decode_block(model, prompts: np.ndarray, draft: np.ndarray, max_new: int,
-                  reuse: dict | None) -> list[list[int]]:
-    """max_new greedy tokens per row of an equal-length prompt block: one pass
-    over prompt + draft, then K/V steps."""
+def _stop_cuts(rows: np.ndarray, draft: np.ndarray) -> np.ndarray:
+    """Per row, the length up to its first STOP_BYTE (excluded) or token off
+    `draft` (included), whichever comes first; no token is off past the draft."""
+    j = np.arange(rows.shape[1])
+    off = rows != np.concatenate([draft, rows[:, draft.shape[1]:]], axis=1)
+    return np.where(rows == STOP_BYTE, j, np.where(off, j + 1, len(j))).min(axis=1)
+
+
+def _decode_block(model, ids: np.ndarray, length: int, max_new: int, reuse: dict) -> np.ndarray:
+    """max_new greedy tokens per row of a block of equal-length prompts plus
+    their drafts, (batch, max_new): one pass over the ids, then K/V steps."""
     base: ModelWeights = getattr(model, "base", model)
     adapters: dict = getattr(model, "adapters", None) or {}
-    length = prompts.shape[1]
-    ids = np.concatenate([prompts, draft], axis=1)
     weights = [(base, adapters.get(site)) for site in sites(base.config)]
     outputs: list = []
-    if reuse is not None and length in reuse:
-        seen_ids, seen_weights, seen_outputs = reuse[length]
-        if np.array_equal(seen_ids, ids):
-            for was, now, out in zip(seen_weights, weights, seen_outputs):
-                if was[0] is not now[0] or was[1] is not now[1]:
-                    break
-                outputs.append(out)
-    steps = max_new - 1 - draft.shape[1]
+    if length in reuse:
+        seen_weights, seen_outputs = reuse[length]
+        for was, now, out in zip(seen_weights, weights, seen_outputs):
+            if was[0] is not now[0] or was[1] is not now[1]:
+                break
+            outputs.append(out)
+    steps = max_new - 1 - (ids.shape[1] - length)
     cache: list[np.ndarray] | None = [] if steps else None
     x, _ = _transformer(model, ids, cache=cache, outputs=outputs, read_from=length - 1)
-    if reuse is not None:
-        reuse[length] = (ids, weights, outputs[:-1])
+    reuse[length] = (weights, outputs[:-1])
     new = [np.argmax(_head(base, x), axis=2)]
     for _ in range(steps):
         x, _ = _transformer(model, new[-1][:, -1:], cache=cache)
         new.append(np.argmax(_head(base, x), axis=2))
-    return np.concatenate(new, axis=1).tolist()
+    return np.concatenate(new, axis=1)
 
 
 # --- SIEV container -------------------------------------------------------

@@ -85,10 +85,11 @@ class TestPipeline:
                     "--model", workdir / "model.siev",
                     "--cache", workdir / "cache.siev",
                     "--task", workdir / "task.json",
-                    "--out", workdir / "run_up"])
+                    "--seed", "5", "--out", workdir / "run_up"])
         assert code in (0, 2)
         run_doc = json.loads((workdir / "run_up" / "run.json").read_text())
         assert run_doc["mode"] == "up"
+        assert "seed" not in run_doc        # the bisection draws no random numbers
         assert (workdir / "run_up" / "history.jsonl").exists()
         assert (workdir / "run_up" / "best.json").exists()
 
@@ -102,6 +103,7 @@ class TestPipeline:
         assert code in (0, 2)
         run_doc = json.loads((workdir / "run_ga" / "run.json").read_text())
         assert run_doc["mode"] == "ga"
+        assert run_doc["seed"] == 2
         assert run_doc["generations"] >= 1
         history = (workdir / "run_ga" / "history.jsonl").read_text().splitlines()
         assert len(history) >= 100
@@ -369,9 +371,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command, option, message", [
         ("search", ["--seed", "-1"], "seed must be >= 0"),
         ("search", ["--max-generations", "0"], "max_generations must be >= 1"),
+        ("search", ["--workers", "0"], "workers must be >= 1"),
+        ("search", ["--workers", "-3"], "workers must be >= 1"),
         ("cache", ["--seed", "-1"], "seed must be >= 0"),
         ("sweep", ["--seed", "-1"], "seed must be >= 0"),
-    ], ids=["search_seed", "search_max_generations", "cache_seed", "sweep_seed"])
+    ], ids=["search_seed", "search_max_generations", "search_workers_0", "search_workers_negative",
+            "cache_seed", "sweep_seed"])
     def test_bad_seed_or_stop_rule_exits_3_before_any_work(
             self, workdir, tmp_path, monkeypatch, capsys, command, option, message):
         inputs = {"search": ["search", "--mode", "ga", "--model", workdir / "model.siev",

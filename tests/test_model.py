@@ -431,6 +431,10 @@ def layer_loop_reference(model, ids):
 
 
 class TestVerifyMode:
+    # one reuse dict for every example of every test that takes it: a call
+    # must give a fresh call's rows whatever the calls before it laid out
+    shared_reuse: dict = {}
+
     @pytest.mark.parametrize("pruned", [False, True])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -446,9 +450,21 @@ class TestVerifyMode:
         prompts = [data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
                    for n in lengths]
         decoded = greedy_decode_batch(model, prompts, max_new)
+        emitted = sorted({t for row in decoded for t in row})
+        if emitted and data.draw(st.booleans(), label="stop_tie"):
+            # STOP_BYTE ties with a token the model emits and wins the tie,
+            # so that rows stop early
+            base = getattr(model, "base", model)
+            unembed = base.unembed.copy()
+            unembed[STOP_BYTE] = unembed[data.draw(st.sampled_from(emitted), label="tied")]
+            stopping = dataclasses.replace(base, unembed=unembed)
+            model = dataclasses.replace(model, base=stopping) if pruned else stopping
+            decoded = greedy_decode_batch(model, prompts, max_new)
+        fulls = [full_decode(model, p, max_new) for p in prompts]
         expected = []
-        for true in decoded:
-            kind = data.draw(st.sampled_from(["true", "changed", "truncated", "empty"]))
+        for true, full in zip(decoded, fulls):
+            kind = data.draw(st.sampled_from(
+                ["true", "changed", "truncated", "empty", "full", "stop", "outside"]))
             e = list(true)
             if kind == "changed" and e:
                 j = data.draw(st.integers(0, len(e) - 1))
@@ -457,12 +473,38 @@ class TestVerifyMode:
                 e = e[:data.draw(st.integers(0, len(e)))]
             elif kind == "empty":
                 e = []
+            elif kind == "full":        # max_new tokens, on through any STOP_BYTE
+                e = list(full)
+            elif kind in ("stop", "outside"):
+                t = STOP_BYTE if kind == "stop" else data.draw(st.sampled_from([-1, 256, 999]))
+                e.insert(data.draw(st.integers(0, len(e))), t)
             expected.append(e)
 
         rows = greedy_decode_batch(model, prompts, max_new, expected=expected)
-        for p, true, e, row in zip(prompts, decoded, expected, rows):
+        assert greedy_decode_batch(model, prompts, max_new, expected=expected,
+                                   reuse=self.shared_reuse) == rows
+        for true, full, e, row in zip(decoded, fulls, expected, rows):
             assert (row == e) == (true == e)
-            assert row == verified_row(full_decode(model, p, max_new), e)
+            assert row == verified_row(full, e)
+
+    def test_shared_reuse_gives_fresh_rows_for_other_prompts(self, tiny_model, tiny_cache):
+        pruned = assemble(tiny_model, PruningVector((0, 3, 5, 0, 2, 9, 0, 1),
+                                                    tiny_cache.factor_set), tiny_cache)
+        rng = derive_rng(50)
+        # two prompt sets of the same length (one block each), then the first again
+        first, second = (rng.integers(1, 256, size=(4, 6)).tolist() for _ in range(2))
+        for max_new in (1, 3):
+            cases = []
+            for prompts in (first, second):
+                true = greedy_decode_batch(pruned, prompts, max_new)
+                cases.append((prompts, [true[0], true[1][:-1] + [STOP_BYTE], [256, 7], []]))
+            for prompts, expected in (cases[0], cases[1], cases[0]):
+                for model in (pruned, pruned, tiny_model):
+                    fresh = greedy_decode_batch(model, prompts, max_new, expected=expected)
+                    assert fresh == [verified_row(full_decode(model, p, max_new), e)
+                                     for p, e in zip(prompts, expected)]
+                    assert greedy_decode_batch(model, prompts, max_new, expected=expected,
+                                               reuse=self.shared_reuse) == fresh
 
     @pytest.mark.parametrize("max_new", [1, 4])
     def test_full_context_and_single_token(self, tiny_model, max_new):

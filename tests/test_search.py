@@ -522,6 +522,9 @@ def test_ga_config_validation():
         GaConfig(stall_generations=0)
     with pytest.raises(ValueError, match="max_generations must be >= 1"):
         GaConfig(max_generations=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            GaConfig(workers=workers)
     GaConfig(max_generations=None)      # no limit
 
 
@@ -544,6 +547,32 @@ def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_ca
         sys.setswitchinterval(interval)
     task = exact_match_task(tiny_model, tiny_task)
     assert shared == [evaluate(assemble(tiny_model, v, tiny_cache), task) for v in vectors]
+
+
+def test_eval_fn_lays_the_task_out_once(tiny_model, tiny_cache, tiny_task, monkeypatch):
+    # 32 prompts of three lengths, so three blocks; a check of a prompt block
+    # against max_new is what building a block's layout does first
+    prompts = [p[:n] for p, n in zip(tiny_task.prompts, [8, 5, 3] * 11)]
+    task = dataclasses.replace(tiny_task, prompts=prompts)
+    checks = []
+    real_check_ids = tp.model._check_ids
+
+    def counting_check_ids(*args, **kwargs):
+        if len(args) == 3:          # (config, prompt block, max_new)
+            checks.append(args[1].shape)
+        return real_check_ids(*args, **kwargs)
+
+    monkeypatch.setattr(tp.model, "_check_ids", counting_check_ids)
+    ev = make_eval_fn(tiny_model, tiny_cache, task)
+    checks.clear()
+    rng = derive_rng(331)
+    vectors = [PruningVector(tuple(int(g) for g in rng.integers(0, 10, size=8)),
+                             tiny_cache.factor_set) for _ in range(12)]
+    results = [ev(v) for v in vectors]
+    assert sorted(checks) == [(10, 3), (11, 5), (11, 8)]      # once per block, not per vector
+    monkeypatch.undo()
+    resolved = exact_match_task(tiny_model, task)
+    assert results == [evaluate(assemble(tiny_model, v, tiny_cache), resolved) for v in vectors]
 
 
 # --- histories pinned across commits ------------------------------------------
