@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import io
 import logging
 import math
 import os
@@ -44,20 +43,27 @@ from .model import (
     _transformer,
     check_schema,
     checked_tensor,
+    container_bytes,
     forward,  # noqa: F401 - perfbench/spans.py traces it under this module
     model_fingerprint,
     model_shapes,
     read_kind,
+    save_container,
     site_dims,
     sites,
     tokenize,
-    write_atomic,
-    write_container,
 )
 
 log = logging.getLogger(__name__)
 
 DEFAULT_LEVELS = (1.0, 0.9, 0.75, 0.6, 0.5, 0.35, 0.25, 0.2, 0.1, 0.05)
+# Tokens per block of a capture's layer loop, rounded down to whole
+# sequences: small enough that a block's pairs are still in cache when they
+# are copied into the capture, large enough that the per-block overhead is
+# small. Capturing 12k, 24k and 48k tokens of the 4-layer calib-scale
+# benchmark model (48-token sequences) took 3.1-3.4 s with blocks of 4 to 64
+# sequences, and over 5 s with 1 sequence or with 1000 per block.
+CAPTURE_BLOCK_TOKENS = 1024
 
 
 class CorpusTooSmallError(ValueError):
@@ -148,30 +154,36 @@ def capture_calibration(
     min_tokens: int = 200_000,
 ) -> ActivationCapture:
     """Run the first min_tokens corpus tokens through the model with every
-    site tapped; inputs are chunked into max_seq_len sequences."""
+    site tapped; inputs are chunked into max_seq_len sequences.
+
+    Each site's x and y are allocated once, at their full width. The
+    sequences run through the layer loop in blocks of about
+    CAPTURE_BLOCK_TOKENS tokens (at least one sequence each; the trailing
+    partial sequence is a block of its own), and each block's pairs are
+    copied into their columns, so the columns stay in corpus order. Batch
+    rows never mix, so the pairs have the bits of one pass per sequence.
+    """
     tokens = tokenize(corpus) if isinstance(corpus, (bytes, str)) else list(corpus)
     check_calibration_size(len(tokens), min_tokens)
     tokens = tokens[:min_tokens]
     corpus_fp = hashlib.sha256(bytes(tokens)).hexdigest()
 
-    # all full-length chunks run as one batch, the trailing partial chunk
-    # (if any) as a second one; columns stay in corpus order
     tap_set = frozenset(sites(model.config))
+    entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
+    for site in sites(model.config):
+        d_in, d_out = site_dims(model.config, site)
+        entries[site] = (np.empty((d_in, min_tokens)), np.empty((d_out, min_tokens)))
     step = model.config.max_seq_len
-    n_full = len(tokens) // step
+    width = max(1, CAPTURE_BLOCK_TOKENS // step) * step
+    full = min_tokens - min_tokens % step
+    # a block edge every `width` tokens, and one after the last whole sequence
+    edges = sorted({*range(0, full, width), full, min_tokens})
     ids = np.asarray(tokens, dtype=np.int64)
-    blocks = [ids[:n_full * step].reshape(n_full, step), ids[n_full * step:].reshape(1, -1)]
-    parts = [_transformer(model, block, tap_set)[1] for block in blocks if block.size]
-    if len(parts) == 1:
-        entries = parts[0]      # no copy: the capture can be most of the memory
-    else:
-        entries = {
-            site: (
-                np.concatenate([pairs[site][0] for pairs in parts], axis=1),
-                np.concatenate([pairs[site][1] for pairs in parts], axis=1),
-            )
-            for site in tap_set
-        }
+    for lo, hi in zip(edges, edges[1:]):
+        _, pairs = _transformer(model, ids[lo:hi].reshape(-1, min(step, hi - lo)), tap_set)
+        for site, (x, y) in pairs.items():
+            entries[site][0][:, lo:hi] = x
+            entries[site][1][:, lo:hi] = y
     return ActivationCapture(
         entries=entries,
         tokens=min_tokens,
@@ -375,7 +387,7 @@ def estimate_flops_per_token(config: TransformerConfig, levels: Sequence[float] 
 
 # --- persistence ----------------------------------------------------------
 
-def cache_to_bytes(cache: AdapterCache) -> bytes:
+def _cache_container(cache: AdapterCache) -> tuple[int, dict, list[tuple[str, np.ndarray]]]:
     ordered = [(site, fi) for site in sites(cache.config) for fi in range(1, len(cache.factor_set))]
     manifest = []
     tensors: list[tuple[str, np.ndarray]] = []
@@ -406,13 +418,15 @@ def cache_to_bytes(cache: AdapterCache) -> bytes:
         "options": asdict(cache.options),
         "entries": manifest,
     }
-    buf = io.BytesIO()
-    write_container(buf, CACHE_VERSION, meta, tensors)
-    return buf.getvalue()
+    return CACHE_VERSION, meta, tensors
+
+
+def cache_to_bytes(cache: AdapterCache) -> bytes:
+    return container_bytes(*_cache_container(cache))
 
 
 def save_cache(cache: AdapterCache, path) -> None:
-    write_atomic(path, cache_to_bytes(cache))
+    save_container(path, *_cache_container(cache))
 
 
 def load_cache(path) -> AdapterCache:
@@ -469,7 +483,8 @@ def load_cache(path) -> AdapterCache:
     )
 
 
-def capture_to_bytes(capture: ActivationCapture, config: TransformerConfig) -> bytes:
+def _capture_container(capture: ActivationCapture,
+                       config: TransformerConfig) -> tuple[int, dict, list[tuple[str, np.ndarray]]]:
     ordered = sites(config)
     manifest = [{"layer": s.layer, "kind": s.kind.value} for s in ordered]
     tensors: list[tuple[str, np.ndarray]] = []
@@ -485,13 +500,17 @@ def capture_to_bytes(capture: ActivationCapture, config: TransformerConfig) -> b
         "corpus_fingerprint": capture.corpus_fingerprint,
         "sites": manifest,
     }
-    buf = io.BytesIO()
-    write_container(buf, CAPTURE_VERSION, meta, tensors)
-    return buf.getvalue()
+    return CAPTURE_VERSION, meta, tensors
+
+
+def capture_to_bytes(capture: ActivationCapture, config: TransformerConfig) -> bytes:
+    return container_bytes(*_capture_container(capture, config))
 
 
 def save_capture(capture: ActivationCapture, config: TransformerConfig, path) -> None:
-    write_atomic(path, capture_to_bytes(capture, config))
+    """Write the capture straight into its file: a 48k-token capture of the
+    4-layer model is over 500 MB, which a copy in memory would double."""
+    save_container(path, *_capture_container(capture, config))
 
 
 def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:

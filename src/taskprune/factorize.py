@@ -128,8 +128,10 @@ def rank_for_factor(p: float, d_in: int, d_out: int) -> tuple[int | None, float]
     return rank, achieved_factor(rank, d_in, d_out)
 
 
-def pair_error(b: Matrix, c: Matrix, x_cal: Matrix, y_cal: Matrix) -> float:
-    return frobenius_rel_error(y_cal, b @ (c @ x_cal))
+def pair_error(b: Matrix, c: Matrix, x_cal: Matrix, y_cal: Matrix,
+               y_norm: float | None = None) -> float:
+    """||Y - b c X|| / ||Y||; `y_norm` is ||Y|| when the caller has it."""
+    return frobenius_rel_error(y_cal, b @ (c @ x_cal), y_norm)
 
 
 def _svd_factors(svd: SvdResult) -> tuple[Matrix, Matrix]:
@@ -238,9 +240,13 @@ class OutputAlignedSite:
         if self.y_norm == 0.0:
             raise DegenerateSiteError("calibration outputs have zero norm")
         self.svd = truncated_svd(w, min(w.shape))
-        r0 = y_cal - w @ x_cal
-        self.r0_sq = float(np.sum(r0 * r0))
+        # R0 = Y - W X and then its squares in one (d_out, T) buffer: at
+        # 48k tokens each temporary it saves is tens of MB
+        r0 = w @ x_cal
+        np.subtract(y_cal, r0, out=r0)
         self.r0_xt = r0 @ x_cal.T
+        np.multiply(r0, r0, out=r0)
+        self.r0_sq = float(np.sum(r0))
         # X X^T is singular for layer-norm-fed sites, which rules out
         # Cholesky; rounding can leave its zero eigenvalues slightly negative
         eigval, eigvec = np.linalg.eigh(x_cal @ x_cal.T)
@@ -313,7 +319,7 @@ class OutputAlignedSite:
     def _result(self, b: Matrix, c: Matrix, rank: int) -> FactorizedMatrix:
         d_out, d_in = self.w.shape
         return FactorizedMatrix(b, c, rank, Method.OUTPUT_ALIGNED_GD,
-                                pair_error(b, c, self.x_cal, self.y_cal),
+                                pair_error(b, c, self.x_cal, self.y_cal, self.y_norm),
                                 achieved_factor(rank, d_in, d_out))
 
 

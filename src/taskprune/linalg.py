@@ -29,14 +29,21 @@ def frobenius_norm(m: Matrix) -> float:
     return float(np.sqrt(np.sum(m * m)))
 
 
-def frobenius_rel_error(y: Matrix, y_hat: Matrix) -> float:
-    """Relative error ||y - y_hat||_F / ||y||_F; the reference must be nonzero."""
+def frobenius_rel_error(y: Matrix, y_hat: Matrix, y_norm: float | None = None) -> float:
+    """Relative error ||y - y_hat||_F / ||y||_F; the reference must be nonzero.
+
+    `y_norm`, when given, is frobenius_norm(y), computed once by a caller
+    that scores many y_hat against one y.
+    """
     if y.shape != y_hat.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
-    denom = frobenius_norm(y)
+    denom = frobenius_norm(y) if y_norm is None else y_norm
     if denom == 0.0:
         raise ValueError("zero-norm reference matrix")
-    return frobenius_norm(y - y_hat) / denom
+    # the bits of frobenius_norm(y - y_hat), squared in place
+    d = y - y_hat
+    np.multiply(d, d, out=d)
+    return float(np.sqrt(np.sum(d))) / denom
 
 
 @dataclass

@@ -8,8 +8,9 @@ forward passes are pure functions; the four weight matrices per layer
 
 Also owns the binary weight container ("SIEV"): magic, u32 version, u64
 JSON-metadata length, JSON metadata with an ordered tensor manifest, then
-little-endian float64 payloads in manifest order. Files are written through
-`write_atomic` (`.partial` + rename), text ones through `write_json`/`write_csv`.
+little-endian float64 payloads in manifest order. Every file is written into
+`<path>.partial` and then renamed: containers by `save_container`, text
+through `write_atomic` (`write_json`/`write_csv`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import io
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -534,6 +536,8 @@ def _decode_block(model, ids: np.ndarray, length: int, max_new: int, reuse: dict
 # --- SIEV container -------------------------------------------------------
 
 def write_container(buf, version: int, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> None:
+    """Write a container to the binary stream `buf`; each payload goes
+    straight from its array, without a copy when it is C-ordered float64."""
     manifest = []
     for name, arr in tensors:
         if arr.ndim not in (1, 2):
@@ -548,7 +552,7 @@ def write_container(buf, version: int, meta: dict, tensors: list[tuple[str, np.n
     buf.write(struct.pack("<Q", len(meta_bytes)))
     buf.write(meta_bytes)
     for _, arr in tensors:
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        buf.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_container(buf, expected_version: int | None = None) -> tuple[int, dict, dict[str, np.ndarray]]:
@@ -600,20 +604,47 @@ def read_container(buf, expected_version: int | None = None) -> tuple[int, dict,
     return version, meta, tensors
 
 
-def model_to_bytes(model: ModelWeights) -> bytes:
+def container_bytes(version: int, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
+    """The bytes `write_container` writes, in memory (for fingerprints)."""
     buf = io.BytesIO()
-    write_container(buf, MODEL_VERSION, {"kind": "model", "config": model.config.to_dict()},
-                    model.tensors())
+    write_container(buf, version, meta, tensors)
     return buf.getvalue()
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write via `<path>.partial` and rename, so a failed write never leaves
-    a truncated file in place of an earlier one. Serialise before calling."""
+@contextmanager
+def _partial_file(path):
+    """`<path>.partial`, open for writing and renamed to `path` when the block
+    ends, so a failed write never leaves a truncated file in place of an
+    earlier one; a block that raises removes it."""
     partial = f"{path}.partial"
-    with open(partial, "wb") as fh:
-        fh.write(data)
+    fh = open(partial, "wb")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(partial)
+        raise
     os.replace(partial, path)
+
+
+def save_container(path, version: int, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> None:
+    """`write_container` straight into a file at `path`, through `_partial_file`."""
+    with _partial_file(path) as fh:
+        write_container(fh, version, meta, tensors)
+
+
+def _model_container(model: ModelWeights) -> tuple[int, dict, list[tuple[str, np.ndarray]]]:
+    return MODEL_VERSION, {"kind": "model", "config": model.config.to_dict()}, model.tensors()
+
+
+def model_to_bytes(model: ModelWeights) -> bytes:
+    return container_bytes(*_model_container(model))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` through `_partial_file`."""
+    with _partial_file(path) as fh:
+        fh.write(data)
 
 
 def write_json(path, obj) -> None:
@@ -633,7 +664,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def save_model(model: ModelWeights, path) -> None:
-    write_atomic(path, model_to_bytes(model))
+    save_container(path, *_model_container(model))
 
 
 def read_kind(path, version: int, kind: str) -> tuple[dict, dict[str, np.ndarray], TransformerConfig]:

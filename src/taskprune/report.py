@@ -111,9 +111,11 @@ def calibration_sweep(
 ) -> list[tuple[int, float]]:
     """Accuracy of a fixed uniform pruning level as calibration size grows.
 
-    Rebuilds the cache (only at `level`) for each size and evaluates. The
-    level and every size are checked, and the task is resolved against the
-    unpruned model once, before the first size.
+    Captures each size, builds its cache (only at `level`) and evaluates.
+    A size's capture is dropped before the next size is captured, so only
+    one capture is held at a time. The level and every size are checked, and
+    the task is resolved against the unpruned model once, before the first
+    size.
     """
     factor_set = FactorSet((1.0, level))
     available = len(tokenize(corpus))
@@ -127,6 +129,9 @@ def calibration_sweep(
         ev = make_eval_fn(model, cache, task)
         vec = PruningVector.uniform(cache.factor_set, len(sites(model.config)), 1)
         points.append((size, ev(vec).accuracy))
+        # freed here, not at the next assignment, which comes after the
+        # next capture is built
+        del capture
     return points
 
 

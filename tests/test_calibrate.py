@@ -91,19 +91,28 @@ class TestCapture:
             w = tiny_model.site_weight(site)
             assert tp.frobenius_rel_error(y, w @ x) <= 1e-12
 
-    def test_batched_capture_equals_per_chunk_forward(self, tiny_model, tiny_corpus, tiny_capture):
-        # 2500 tokens: 78 full chunks of 32 run as one batch, a 4-token tail as another
+    def test_batched_capture_equals_per_chunk_forward(self, tiny_model, tiny_corpus, tiny_capture,
+                                                      monkeypatch):
+        # 2500 tokens: 78 full chunks of 32, run in blocks of whole chunks,
+        # and a 4-token tail run as a block of its own. Blocks of 1024
+        # tokens (the default) hold 32 chunks, of 100 tokens 3 and of 1
+        # token 1, as a block holds at least one chunk.
         step = tiny_model.config.max_seq_len
         tokens = list(tiny_corpus[:2500])
         taps = frozenset(sites(tiny_model.config))
         caps = [forward(tiny_model, tokens[i:i + step], taps=taps)[1]
                 for i in range(0, len(tokens), step)]
         assert len(caps) == 79 and caps[-1].tokens == 4
-        for site, (x, y) in tiny_capture.entries.items():
-            x_ref = np.concatenate([c.entries[site][0] for c in caps], axis=1)
-            y_ref = np.concatenate([c.entries[site][1] for c in caps], axis=1)
-            assert x.tobytes() == x_ref.tobytes()
-            assert y.tobytes() == y_ref.tobytes()
+        refs = {site: [np.concatenate([c.entries[site][i] for c in caps], axis=1) for i in (0, 1)]
+                for site in taps}
+        captures = [tiny_capture]
+        for block_tokens in (1, 100):
+            monkeypatch.setattr(calibrate, "CAPTURE_BLOCK_TOKENS", block_tokens)
+            captures.append(capture_calibration(tiny_model, tiny_corpus, min_tokens=2500))
+        for capture in captures:
+            for site, (x, y) in capture.entries.items():
+                assert x.tobytes() == refs[site][0].tobytes()
+                assert y.tobytes() == refs[site][1].tobytes()
 
     def test_token_ids_outside_vocabulary_rejected(self):
         cfg = tp.TransformerConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
@@ -410,17 +419,18 @@ class TestCachePersistence:
         assert not tiny_cache.flagged
         assert all("reason" not in row for row in manifest_rows(tiny_cache))
 
-    def test_failed_serialisation_keeps_earlier_file(self, tiny_cache, tmp_path, monkeypatch):
+    def test_failed_serialisation_keeps_earlier_file(self, tiny_cache, tmp_path):
         path = tmp_path / "cache.siev"
         save_cache(tiny_cache, path)
         before = path.read_bytes()
-
-        def broken(cache):
-            raise RuntimeError("serialiser failed")
-
-        monkeypatch.setattr(calibrate, "cache_to_bytes", broken)
-        with pytest.raises(RuntimeError):
-            save_cache(tiny_cache, path)
+        # the last payload cannot be stored as float64, so the save fails
+        # after every earlier byte went into the file
+        last = (sites(tiny_cache.config)[-1], len(tiny_cache.factor_set) - 1)
+        fm = tiny_cache.entries[last]
+        fm = dataclasses.replace(fm, c=np.full(fm.c.shape, "x"))
+        broken = dataclasses.replace(tiny_cache, entries={**tiny_cache.entries, last: fm})
+        with pytest.raises(ValueError, match="could not convert"):
+            save_cache(broken, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["cache.siev"]
 

@@ -390,6 +390,15 @@ class TestOutputAlignedSite:
             assert np.array_equal(a.b, b.b) and np.array_equal(a.c, b.c)
             assert a.calib_error == b.calib_error == pair_error(a.b, a.c, x, y)
 
+    def test_residual_statistics_keep_their_bits(self):
+        # on the fixtures R0 = Y - W X is about 0, so take outputs off W X
+        w, x, _ = misaligned_instance(433)
+        y = w @ x + 0.3 * derive_rng(434).normal(size=(w.shape[0], x.shape[1]))
+        site = OutputAlignedSite(w, x, y)
+        r0 = y - w @ x
+        assert site.r0_sq == float(np.sum(r0 * r0)) > 0.0
+        assert site.r0_xt.tobytes() == (r0 @ x.T).tobytes()
+
     def test_zero_norm_outputs_rejected(self):
         w, x, _ = misaligned_instance(431)
         with pytest.raises(DegenerateSiteError, match="zero norm"):

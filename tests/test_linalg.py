@@ -157,6 +157,16 @@ class TestFrobenius:
         assert frobenius_rel_error(y, np.array([[0.0, 0.0]])) == pytest.approx(1.0)
         assert frobenius_rel_error(y, np.array([[3.0, 0.0]])) == pytest.approx(4.0 / 5.0)
 
+    def test_given_norm_keeps_the_bits_and_the_inputs(self):
+        rng = derive_rng(14)
+        for shape in ((3, 3), (32, 500), (96, 77)):
+            y, y_hat = rng.normal(size=shape), rng.normal(size=shape)
+            y_in, y_hat_in = y.copy(), y_hat.copy()
+            want = frobenius_norm(y - y_hat) / frobenius_norm(y)
+            assert frobenius_rel_error(y, y_hat) == want
+            assert frobenius_rel_error(y, y_hat, frobenius_norm(y)) == want
+            assert np.array_equal(y, y_in) and np.array_equal(y_hat, y_hat_in)
+
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
             frobenius_rel_error(np.zeros((2, 2)), np.ones((2, 2)))

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -162,6 +163,24 @@ class TestCalibrationSweep:
                                    level=0.5, opts=opts, workers=1)
         assert len(points) == 3
         assert free == [tiny_model]
+
+    def test_one_capture_is_held_at_a_time(self, tiny_model, tiny_corpus, tiny_task,
+                                           monkeypatch):
+        held = []
+        real_capture = report.capture_calibration
+
+        def tracked_capture(*args, **kwargs):
+            assert all(ref() is None for ref in held), "an earlier capture is still alive"
+            capture = real_capture(*args, **kwargs)
+            held.append(weakref.ref(capture))
+            return capture
+
+        monkeypatch.setattr(report, "capture_calibration", tracked_capture)
+        opts = FactorizeOptions(epochs=1, batch_tokens=500, learning_rate=0.003, seed=0)
+        points = calibration_sweep(tiny_model, tiny_corpus, [800, 1200, 2000], tiny_task,
+                                   level=0.5, opts=opts, workers=1)
+        assert [size for size, _ in points] == [800, 1200, 2000]
+        assert len(held) == 3
 
     @pytest.mark.parametrize("level, sizes", [
         (1.0, [500]),           # a factor set (1.0, 1.0) is not descending
