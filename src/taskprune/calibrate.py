@@ -13,7 +13,7 @@ import hashlib
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -38,15 +38,14 @@ from .model import (
     FormatError,
     ModelWeights,
     SiteId,
-    SiteKind,
     TransformerConfig,
     _transformer,
-    check_schema,
     checked_tensor,
     container_bytes,
     forward,  # noqa: F401 - perfbench/spans.py traces it under this module
     model_fingerprint,
     model_shapes,
+    read_fields,
     read_kind,
     save_container,
     site_dims,
@@ -135,9 +134,7 @@ class PruningVector:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PruningVector":
-        check_schema(d, "taskprune-pruning-v1")
-        return cls(tuple(int(i) for i in d["indices"]),
-                   FactorSet(tuple(float(x) for x in d["factor_set"])))
+        return read_fields(cls, d, "taskprune-pruning-v1")
 
 
 def check_calibration_size(available: int, min_tokens: int) -> None:
@@ -411,7 +408,7 @@ def _cache_container(cache: AdapterCache) -> tuple[int, dict, list[tuple[str, np
         manifest.append(row)
     meta = {
         "kind": "adapter_cache",
-        "config": cache.config.to_dict(),
+        "config": asdict(cache.config),
         "factor_set": list(cache.factor_set.levels),
         "model_fingerprint": cache.model_fingerprint,
         "calib_fingerprint": cache.calib_fingerprint,
@@ -432,19 +429,15 @@ def save_cache(cache: AdapterCache, path) -> None:
 def load_cache(path) -> AdapterCache:
     meta, tensors, config = read_kind(path, CACHE_VERSION, "adapter_cache")
     try:
-        factor_set = FactorSet(tuple(float(x) for x in meta["factor_set"]))
-        # each option takes the type of its default: int or float
-        opts = FactorizeOptions(**{f.name: type(f.default)(meta["options"][f.name])
-                                   for f in fields(FactorizeOptions)})
-        entries: dict[tuple[SiteId, int], FactorizedMatrix | None] = {
-            (site, 0): None for site in sites(config)
-        }
+        factor_set = read_fields(FactorSet, meta.get("factor_set"))
+        opts = read_fields(FactorizeOptions, meta.get("options"))
+        entries: dict[tuple[SiteId, int], FactorizedMatrix | None] = {}
         flagged: dict[tuple[SiteId, int], str] = {}
         for i, row in enumerate(meta["entries"]):
-            site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
+            site = read_fields(SiteId, row)
             fi = int(row["factor_index"])
             # level 0 is dense and implied, so listing it counts as twice
-            if (site, fi) in entries:
+            if (site, fi) in entries or fi == 0:
                 raise FormatError(f"cache manifest lists {site} at level {fi} twice")
             if row.get("flagged"):
                 entries[(site, fi)] = None
@@ -469,18 +462,13 @@ def load_cache(path) -> AdapterCache:
         fingerprints = str(meta["model_fingerprint"]), str(meta["calib_fingerprint"])
     except (LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"bad cache metadata: {exc}") from exc
-    expected = {(s, fi) for s in sites(config) for fi in range(len(factor_set))}
-    if set(entries) != expected:
+    levels = range(1, len(factor_set))
+    # counted before sites() lists every claimed layer
+    if (len(entries) != len(KIND_ORDER) * config.n_layers * len(levels)
+            or set(entries) != {(s, fi) for s in sites(config) for fi in levels}):
         raise FormatError("cache manifest does not cover every site and factor level")
-    return AdapterCache(
-        config=config,
-        factor_set=factor_set,
-        model_fingerprint=fingerprints[0],
-        calib_fingerprint=fingerprints[1],
-        options=opts,
-        entries=entries,
-        flagged=flagged,
-    )
+    entries.update(((site, 0), None) for site in sites(config))
+    return AdapterCache(config, factor_set, *fingerprints, opts, entries, flagged)
 
 
 def _capture_container(capture: ActivationCapture,
@@ -494,17 +482,13 @@ def _capture_container(capture: ActivationCapture,
         tensors.append((f"s{i}.y", y))
     meta = {
         "kind": "capture",
-        "config": config.to_dict(),
+        "config": asdict(config),
         "tokens": capture.tokens,
         "model_fingerprint": capture.model_fingerprint,
         "corpus_fingerprint": capture.corpus_fingerprint,
         "sites": manifest,
     }
     return CAPTURE_VERSION, meta, tensors
-
-
-def capture_to_bytes(capture: ActivationCapture, config: TransformerConfig) -> bytes:
-    return container_bytes(*_capture_container(capture, config))
 
 
 def save_capture(capture: ActivationCapture, config: TransformerConfig, path) -> None:
@@ -519,7 +503,7 @@ def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:
         tokens = int(meta["tokens"])
         entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
         for i, row in enumerate(meta["sites"]):
-            site = SiteId(int(row["layer"]), SiteKind(row["kind"]))
+            site = read_fields(SiteId, row)
             if site in entries:
                 raise FormatError(f"capture manifest lists {site} twice")
             d_in, d_out = site_dims(config, site)
@@ -528,7 +512,8 @@ def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:
                 raise FormatError(f"{site} has x {x.shape} and y {y.shape}, expected "
                                   f"({d_in}, {tokens}) and ({d_out}, {tokens})")
             entries[site] = (x, y)
-        if set(entries) != set(sites(config)):
+        # counted before sites() lists every claimed layer
+        if len(entries) != len(KIND_ORDER) * config.n_layers or set(entries) != set(sites(config)):
             raise FormatError("capture manifest does not cover every site of its config")
         capture = ActivationCapture(
             entries=entries,

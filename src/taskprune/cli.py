@@ -27,9 +27,9 @@ from .calibrate import (
 )
 from .model import (
     TransformerConfig,
-    check_schema,
     load_model,
     model_fingerprint,
+    read_fields,
     read_json,
     write_json,
 )
@@ -62,6 +62,37 @@ log = logging.getLogger("taskprune")
 def _read_corpus(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+RUN_SCHEMA = "taskprune-run-v1"
+# run.json leaves out the fields of the other search mode
+_LEFT_OUT = {"up": ("generations", "seed"), "ga": ("evaluations", "warning")}
+
+
+@dataclasses.dataclass(frozen=True)
+class RunRecord:
+    """run.json: what `search` found and ran on, which `report` reads back."""
+
+    mode: str
+    epsilon: float
+    a_star: float
+    a0: float
+    accuracy: float
+    best_indices: tuple[int, ...]
+    factor_set: FactorSet
+    feasible: bool
+    config: TransformerConfig
+    model_fingerprint: str
+    calib_fingerprint: str
+    history: str
+    evaluations: int | None = None      # up only
+    warning: str | None = None          # up only
+    generations: int | None = None      # ga only
+    seed: int | None = None             # ga only: the bisection draws no random numbers
+
+    def to_dict(self) -> dict:
+        d = {k: v for k, v in dataclasses.asdict(self).items() if k not in _LEFT_OUT[self.mode]}
+        return {**d, "schema": RUN_SCHEMA, "factor_set": list(self.factor_set.levels)}
 
 
 def _factorize_opts(args) -> FactorizeOptions:
@@ -128,38 +159,22 @@ def cmd_search(args) -> int:
     if args.mode == "up":
         result = binary_search_uniform(model, cache, task)
         write_history(result.history, history_path)
-        best_vector = result.vector
-        accuracy = result.eval_result.accuracy
-        a_star, a0 = result.a_star, result.a0
-        feasible = result.pruned
+        best_vector, accuracy, feasible = result.vector, result.eval_result.accuracy, result.pruned
         extra = {"evaluations": result.evaluations, "warning": result.warning}
     else:
         result = ga_search(model, cache, task, cfg, history_path=history_path)
         best_vector = PruningVector(result.best.genes, cache.factor_set)
-        accuracy = result.best.accuracy
-        a_star, a0 = result.a_star, result.a0
-        feasible = result.feasible
+        accuracy, feasible = result.best.accuracy, result.feasible
         extra = {"generations": result.generations, "seed": args.seed}
 
     write_json(os.path.join(args.out, "best.json"), best_vector.to_dict())
-    run = {
-        "schema": "taskprune-run-v1",
-        "mode": args.mode,
-        "epsilon": task.epsilon,
-        "a_star": a_star,
-        "a0": a0,
-        "accuracy": accuracy,
-        "best_indices": list(best_vector.indices),
-        "factor_set": list(cache.factor_set.levels),
-        "feasible": feasible,
-        "config": model.config.to_dict(),
-        "model_fingerprint": model_fingerprint(model),
-        "calib_fingerprint": cache.calib_fingerprint,
-        "history": "history.jsonl",
-    }
-    run.update(extra)
-    write_json(os.path.join(args.out, "run.json"), run)
-    print(f"mode={args.mode} accuracy={accuracy:.4f} a0={a0:.4f} "
+    run = RunRecord(mode=args.mode, epsilon=task.epsilon, a_star=result.a_star, a0=result.a0,
+                    accuracy=accuracy, best_indices=best_vector.indices,
+                    factor_set=cache.factor_set, feasible=feasible, config=model.config,
+                    model_fingerprint=model_fingerprint(model),
+                    calib_fingerprint=cache.calib_fingerprint, history="history.jsonl", **extra)
+    write_json(os.path.join(args.out, "run.json"), run.to_dict())
+    print(f"mode={args.mode} accuracy={accuracy:.4f} a0={run.a0:.4f} "
           f"compression={compression_ratio(best_vector, model.config):.4f} feasible={feasible}")
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
@@ -181,25 +196,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    run = read_json(os.path.join(args.run, "run.json"))
-    check_schema(run, "taskprune-run-v1")
-    factor_set = FactorSet(tuple(float(x) for x in run["factor_set"]))
-    vector = PruningVector(tuple(int(i) for i in run["best_indices"]), factor_set)
-    history = read_history(os.path.join(args.run, run["history"]))
+    run = read_fields(RunRecord, read_json(os.path.join(args.run, "run.json")), RUN_SCHEMA)
+    history = read_history(os.path.join(args.run, run.history))
     report = build_report(
-        model=TransformerConfig.from_dict(run["config"]),
-        vector=vector,
-        mode=run["mode"],
-        a_star=float(run["a_star"]),
-        a0=float(run["a0"]),
-        accuracy=float(run["accuracy"]),
-        epsilon=float(run["epsilon"]),
-        model_fp=str(run["model_fingerprint"]),
-        calib_fp=str(run["calib_fingerprint"]),
-        history=history if run["mode"] == "ga" else None,
-        history_file=run["history"],
-        feasible=bool(run["feasible"]),
-    )
+        run.config, PruningVector(run.best_indices, run.factor_set), run.mode, run.a_star,
+        run.a0, run.accuracy, run.epsilon, run.model_fingerprint, run.calib_fingerprint,
+        history=history if run.mode == "ga" else None, history_file=run.history,
+        feasible=run.feasible)
     emit_report(report, args.out)
     print(f"report written to {args.out}")
     return EXIT_OK

@@ -20,11 +20,12 @@ import io
 import json
 import os
 import struct
+import types
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import erf
@@ -42,14 +43,7 @@ CAPTURE_VERSION = 3
 
 
 class FormatError(ValueError):
-    """Raised for malformed container files."""
-
-
-def check_schema(doc, expected: str) -> None:
-    """Reject a JSON document whose `schema` tag is missing or not `expected`."""
-    found = doc.get("schema") if isinstance(doc, dict) else None
-    if found != expected:
-        raise FormatError(f"expected schema {expected!r}, found {found!r}")
+    """Raised for malformed input files: containers and text artifacts."""
 
 
 class SiteKind(str, Enum):
@@ -94,13 +88,6 @@ class TransformerConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransformerConfig":
-        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
 
 
 @lru_cache(maxsize=16)
@@ -634,7 +621,7 @@ def save_container(path, version: int, meta: dict, tensors: list[tuple[str, np.n
 
 
 def _model_container(model: ModelWeights) -> tuple[int, dict, list[tuple[str, np.ndarray]]]:
-    return MODEL_VERSION, {"kind": "model", "config": model.config.to_dict()}, model.tensors()
+    return MODEL_VERSION, {"kind": "model", "config": asdict(model.config)}, model.tensors()
 
 
 def model_to_bytes(model: ModelWeights) -> bytes:
@@ -657,6 +644,54 @@ def read_json(path):
         return json.load(fh)
 
 
+def read_fields(cls, obj, schema: str | None = None):
+    """The dataclass `cls` built from the JSON value `obj` by the types its
+    fields declare; any other value raises FormatError naming its field.
+    An int is never a bool, a float may be an int, `bytes` is latin-1 text,
+    lists and tuples read each element, and an Enum names one of its
+    values. An absent field reads as null, which only `X | None` takes. A
+    nested dataclass reads from an object, or from the value of its one
+    field (FactorSet). `schema`, when given, must be the `schema` tag."""
+    found = obj.get("schema") if isinstance(obj, dict) else None
+    if schema is not None and found != schema:
+        raise FormatError(f"expected schema {schema!r}, found {found!r}")
+    return _read(cls, obj, cls.__name__)
+
+
+_type_hints = lru_cache(maxsize=None)(get_type_hints)
+# the JSON types that each declared scalar type reads
+_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,), bytes: (str,)}
+
+
+def _read(tp, value, where: str):
+    found = "null" if value is None else type(value).__name__
+    if tp in _SCALARS:
+        if type(value) in _SCALARS[tp]:
+            try:
+                return value.encode("latin-1") if tp is bytes else tp(value)
+            except (OverflowError, UnicodeEncodeError):  # an int past float's range; a char past a byte
+                pass
+        raise FormatError(f"{where}: expected {tp.__name__}, found {found}")
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is types.UnionType:                   # X | None
+        return None if value is None else _read(args[0], value, where)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise FormatError(f"{where}: expected a list, found {found}")
+        return origin(_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(tp):
+        names, hints = [f.name for f in fields(tp)], _type_hints(tp)
+        if len(names) == 1:                         # stored as its one field
+            value = {names[0]: value}
+        if not isinstance(value, dict):
+            raise FormatError(f"{where}: expected an object, found {found}")
+        value = {n: _read(hints[n], value.get(n), f"{where}.{n}") for n in names}
+    try:                                            # a dataclass or an Enum
+        return tp(**value) if is_dataclass(tp) else tp(value)
+    except ValueError as exc:                       # their own checks
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """A header line, then one line per row: floats as `repr`, the rest as `str`."""
     lines = [header, *([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)]
@@ -675,8 +710,8 @@ def read_kind(path, version: int, kind: str) -> tuple[dict, dict[str, np.ndarray
     if meta.get("kind") != kind:
         raise FormatError(f"expected a {kind} container, found kind={meta.get('kind')!r}")
     try:
-        config = TransformerConfig.from_dict(meta["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        config = read_fields(TransformerConfig, meta.get("config"))
+    except FormatError as exc:
         raise FormatError(f"bad {kind} config: {exc}") from exc
     return meta, tensors, config
 
@@ -693,6 +728,9 @@ def checked_tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, 
 
 def load_model(path) -> ModelWeights:
     _, tensors, config = read_kind(path, MODEL_VERSION, "model")
+    # counted before model_shapes lists every claimed layer; 5 tensors are outside them
+    if len(tensors) != 5 + len(layer_shapes(config)) * config.n_layers:
+        raise FormatError(f"{len(tensors)} tensors cannot be those of {config.n_layers} layers")
     try:
         return ModelWeights.from_tensors(config, {
             name: checked_tensor(tensors, name, shape) for name, shape in model_shapes(config).items()})

@@ -196,8 +196,8 @@ def build_report(
         if len(rec.genes) != n_sites:
             raise ValueError(f"history record {i} has {len(rec.genes)} genes, "
                              f"but the config has {n_sites} sites")
+    comp = compression_ratio(vector, config)       # first: it rejects a vector of another length
     per_site, per_layer, per_kind = retention_tables(vector, config)
-    comp = compression_ratio(vector, config)
     flops_dense = estimate_flops_per_token(config)
     flops_pruned = estimate_flops_per_token(config, vector.levels())
     removed = (flops_dense - flops_pruned) // 2     # two FLOPs per site parameter

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .calibrate import AdapterCache, PruningVector, assemble, compression_ratio
-from .model import (STOP_BYTE, ModelWeights, check_schema, greedy_decode_batch, read_json, sites,
+from .model import (STOP_BYTE, ModelWeights, greedy_decode_batch, read_fields, read_json, sites,
                     write_atomic, write_json)
 
 log = logging.getLogger(__name__)
@@ -90,25 +90,13 @@ class TaskSpec:
             d["expected"] = [e.decode("latin-1") for e in self.expected]
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        check_schema(d, "taskprune-task-v1")
-        expected = d.get("expected")
-        return cls(
-            mode=TaskMode(d["mode"]),
-            prompts=[p.encode("latin-1") for p in d["prompts"]],
-            expected=None if expected is None else [e.encode("latin-1") for e in expected],
-            max_new_tokens=int(d["max_new_tokens"]),
-            epsilon=float(d["epsilon"]),
-        )
-
 
 def save_task(task: TaskSpec, path) -> None:
     write_json(path, task.to_dict())
 
 
 def load_task(path) -> TaskSpec:
-    return TaskSpec.from_dict(read_json(path))
+    return read_fields(TaskSpec, read_json(path), "taskprune-task-v1")
 
 
 @dataclass
@@ -201,16 +189,6 @@ class EvalRecord:
         return {"generation": self.generation, "genes": self.genes, "accuracy": self.accuracy,
                 "compression": self.compression, "fitness": self.fitness}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalRecord":
-        return cls(
-            generation=int(d["generation"]),
-            genes=tuple(int(g) for g in d["genes"]),
-            accuracy=float(d["accuracy"]),
-            compression=float(d["compression"]),
-            fitness=float(d["fitness"]),
-        )
-
 
 def _history_line(rec: EvalRecord) -> str:
     return json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -221,13 +199,8 @@ def write_history(records: Iterable[EvalRecord], path) -> None:
 
 
 def read_history(path) -> list[EvalRecord]:
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(EvalRecord.from_dict(json.loads(line)))
-    return records
+        return [read_fields(EvalRecord, json.loads(line)) for line in fh if line.strip()]
 
 
 # --- uniform binary search --------------------------------------------------

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import json
 import math
+import shutil
 import struct
 from types import SimpleNamespace
 
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 import taskprune as tp
 import taskprune.model as model_module
+from taskprune import calibrate, cli
 from taskprune.calibrate import PruningVector, assemble, cache_to_bytes
+from taskprune.cli import RunRecord
 from taskprune.linalg import derive_rng, frobenius_rel_error
 from taskprune.model import (
     LN_EPS,
@@ -31,10 +35,12 @@ from taskprune.model import (
     layer_norm,
     model_to_bytes,
     read_container,
+    read_fields,
     site_dims,
     sites,
     tokenize,
 )
+from taskprune.search import EvalRecord, TaskMode, TaskSpec
 
 
 # --- independent straight-line reimplementation (the forward-pass oracle) ---
@@ -805,6 +811,212 @@ class TestContainerFuzz:
         raw = model_to_bytes(tiny_model)[:-8] + struct.pack("<d", math.nan)
         with pytest.raises(FormatError, match="non-finite"):
             read_container(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("kind", ["model", "capture", "cache"])
+def test_a_million_claimed_layers_are_rejected_before_any_per_layer_work(
+        tiny_model, tiny_capture, tiny_cache, tmp_path, monkeypatch, kind):
+    claimed = 10**6
+    path = tmp_path / f"{kind}.siev"
+    {"model": lambda: tp.save_model(tiny_model, path),
+     "cache": lambda: tp.save_cache(tiny_cache, path),
+     "capture": lambda: tp.save_capture(tiny_capture, tiny_model.config, path)}[kind]()
+    path.write_bytes(_rewrite_meta(path.read_bytes(),
+                                   lambda meta: meta["config"].update(n_layers=claimed)))
+
+    def refuse(real):
+        def stand_in(config):
+            if config.n_layers == claimed:
+                raise AssertionError(f"{real.__name__} ran on the claimed config")
+            return real(config)
+        return stand_in
+
+    real_sites, real_shapes = sites, model_module.model_shapes
+    for module in (model_module, calibrate):
+        monkeypatch.setattr(module, "sites", refuse(real_sites))
+        monkeypatch.setattr(module, "model_shapes", refuse(real_shapes))
+    loader = {"model": tp.load_model, "cache": tp.load_cache, "capture": tp.load_capture}[kind]
+    with pytest.raises(FormatError):
+        loader(path)
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tiny_model, tiny_cache, tiny_task, tmp_path_factory):
+    """A model, cache and task file, an up and a GA run directory made from
+    them, each text artifact's JSON and each run's history lines."""
+    root = tmp_path_factory.mktemp("text")
+    tp.save_model(tiny_model, root / "model.siev")
+    tp.save_cache(tiny_cache, root / "cache.siev")
+    tp.save_task(dataclasses.replace(tiny_task, prompts=tiny_task.prompts[:6]), root / "task.json")
+    inputs = ["--model", root / "model.siev", "--cache", root / "cache.siev",
+              "--task", root / "task.json", "--max-generations", 1]
+    for mode in ("up", "ga"):
+        argv = ["search", "--mode", mode, *inputs, "--out", root / mode]
+        assert cli.main([str(a) for a in argv]) in (0, 2)
+    histories = {mode: (root / mode / "history.jsonl").read_text().splitlines()
+                 for mode in ("up", "ga")}
+    docs = {"task": json.loads((root / "task.json").read_text()),
+            "best": json.loads((root / "ga" / "best.json").read_text()),
+            "run_up": json.loads((root / "up" / "run.json").read_text()),
+            "run_ga": json.loads((root / "ga" / "run.json").read_text()),
+            "history": json.loads(histories["ga"][0])}
+    return root, docs, histories
+
+
+def _read_back(text_inputs, artifact: str, doc) -> tuple[int, str]:
+    """Write `doc` as the artifact (for "history", as the first line of the
+    GA run's history) and run the command that reads it in process: its
+    exit code and what it printed to stderr."""
+    root, docs, histories = text_inputs
+    fuzz = root / "fuzz"
+    shutil.rmtree(fuzz, ignore_errors=True)
+    fuzz.mkdir()
+    task = fuzz / "task.json" if artifact == "task" else root / "task.json"
+    argv = ["eval", "--model", root / "model.siev", "--task", task]
+    if artifact == "best":
+        argv += ["--pruning", fuzz / "best.json", "--cache", root / "cache.siev"]
+    if artifact in ("run_up", "run_ga", "history"):
+        lines = histories["up" if artifact == "run_up" else "ga"]
+        if artifact == "history":
+            lines, doc = [json.dumps(doc), *lines[1:]], docs["run_ga"]
+        (fuzz / "history.jsonl").write_text("".join(line + "\n" for line in lines))
+        argv = ["report", "--run", fuzz, "--out", fuzz / "report"]
+    name = {"task": "task.json", "best": "best.json"}.get(artifact, "run.json")
+    (fuzz / name).write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+# each text artifact's top-level fields
+TEXT_FIELDS = {
+    "task": ["schema", *(f.name for f in dataclasses.fields(TaskSpec))],
+    "best": ["schema", *(f.name for f in dataclasses.fields(PruningVector))],
+    "run_up": ["schema", *(f.name for f in dataclasses.fields(RunRecord))],
+    "run_ga": ["schema", *(f.name for f in dataclasses.fields(RunRecord))],
+    "history": [f.name for f in dataclasses.fields(EvalRecord)],
+}
+# (artifact, field replaced); a None field replaces the whole document with a list
+TEXT_TARGETS = [(artifact, name) for artifact, names in TEXT_FIELDS.items()
+                for name in (None, *names)]
+# small numbers, so that no value asks for a huge allocation
+SMALL_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(-2.0, 2.0), st.text(max_size=4),
+    st.lists(st.integers(-3, 40), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 40), max_size=2),
+)
+# malformed inputs that once ended in a traceback, were read as something
+# else or were rejected without naming the field, and the message that must
+# name the offending field
+TEXT_PROBES = [
+    (("task", "prompts"), 5, "TaskSpec.prompts: expected a list, found int"),
+    (("task", "prompts"), [5], "TaskSpec.prompts[0]: expected bytes, found int"),
+    (("task", "max_new_tokens"), None, "TaskSpec.max_new_tokens: expected int, found null"),
+    (("task", "max_new_tokens"), True, "TaskSpec.max_new_tokens: expected int, found bool"),
+    (("task", "epsilon"), "x", "TaskSpec.epsilon: expected float, found str"),
+    (("task", "mode"), "bogus", "TaskSpec.mode: 'bogus' is not a valid TaskMode"),
+    (("task", None), None, "expected schema 'taskprune-task-v1', found None"),
+    (("history", "genes"), 5, "EvalRecord.genes: expected a list, found int"),
+    (("history", "genes"), [None] + [0] * 7, "EvalRecord.genes[0]: expected int, found null"),
+    (("history", None), None, "EvalRecord: expected an object, found list"),
+    (("run_ga", "best_indices"), None, "RunRecord.best_indices: expected a list, found null"),
+    (("run_ga", "config"), 3, "RunRecord.config: expected an object, found int"),
+    (("run_ga", "feasible"), "no", "RunRecord.feasible: expected bool, found str"),
+    (("run_ga", "a_star"), None, "RunRecord.a_star: expected float, found null"),
+    (("run_ga", "history"), 5, "RunRecord.history: expected str, found int"),
+    (("best", "indices"), 5, "PruningVector.indices: expected a list, found int"),
+    (("best", "factor_set"), None, "PruningVector.factor_set.levels: expected a list, found null"),
+]
+
+
+def _with_probes(test):
+    for target, value, _ in TEXT_PROBES:
+        test = example(target=target, value=value)(test)
+    return test
+
+
+class TestTextFuzz:
+    @settings(max_examples=150, deadline=None)
+    @_with_probes
+    # a vector shorter than the config's site list once divided by zero in `report`
+    @example(target=("run_ga", "best_indices"), value=[0])
+    @given(target=st.sampled_from(TEXT_TARGETS), value=SMALL_JSON)
+    def test_a_malformed_field_exits_0_or_3(self, text_inputs, target, value):
+        artifact, name = target
+        doc = text_inputs[1][artifact]
+        code, err = _read_back(text_inputs, artifact,
+                               [doc] if name is None else {**doc, name: value})
+        # compared as JSON, where True is not 1
+        probe = [message for t, v, message in TEXT_PROBES
+                 if t == target and json.dumps(v) == json.dumps(value)]
+        if probe:
+            assert code == 3 and probe[0] in err, err
+        else:
+            assert code in (0, 3), err
+
+    @pytest.mark.parametrize("artifact", sorted(TEXT_FIELDS))
+    def test_each_artifact_reads_back_as_written(self, text_inputs, artifact):
+        code, err = _read_back(text_inputs, artifact, text_inputs[1][artifact])
+        assert code == 0, err
+
+
+class TestReadFields:
+    def test_each_artifact_round_trips(self, tiny_task, tiny_cache):
+        up = RunRecord(mode="up", epsilon=0.1, a_star=1.0, a0=0.9, accuracy=0.95,
+                       best_indices=(2,) * 8, factor_set=tiny_cache.factor_set, feasible=True,
+                       config=tiny_cache.config, model_fingerprint="ab", calib_fingerprint="cd",
+                       history="history.jsonl", evaluations=4, warning=None)
+        ga = dataclasses.replace(up, mode="ga", evaluations=None, generations=3, seed=7)
+        assert "seed" not in up.to_dict() and "warning" not in ga.to_dict()
+        exact = dataclasses.replace(tiny_task, mode=TaskMode.EXACT_MATCH,
+                                    expected=[b"\xff\x00", b"ab", *tiny_task.prompts[2:]],
+                                    max_new_tokens=8)
+        for obj in [tiny_task, exact, PruningVector((0, 3, 9), tiny_cache.factor_set),
+                    EvalRecord(2, (0, 1, 2), 0.75, 0.5, 1.25), up, ga]:
+            assert read_fields(type(obj), json.loads(json.dumps(obj.to_dict()))) == obj
+        for obj in [tiny_cache.config, tiny_cache.options]:
+            assert read_fields(type(obj), json.loads(json.dumps(dataclasses.asdict(obj)))) == obj
+
+    def test_an_int_is_never_a_bool_and_a_float_may_be_an_int(self):
+        doc = {"generation": 1, "genes": [0, 1], "accuracy": 1, "compression": 0.5,
+               "fitness": 2}
+        rec = read_fields(EvalRecord, doc)
+        assert rec == EvalRecord(1, (0, 1), 1.0, 0.5, 2.0)
+        assert type(rec.accuracy) is float and type(rec.fitness) is float
+        for name, value, found in [("generation", True, "int, found bool"),
+                                   ("genes", [0, False], "int, found bool"),
+                                   ("accuracy", True, "float, found bool"),
+                                   ("fitness", 10**400, "float, found int")]:
+            with pytest.raises(FormatError, match=f"expected {found}"):
+                read_fields(EvalRecord, {**doc, name: value})
+
+    def test_bytes_are_latin_1_text(self, tiny_task):
+        doc = {**tiny_task.to_dict(), "prompts": ["\xff\x80a"]}
+        assert read_fields(TaskSpec, doc).prompts == [b"\xff\x80a"]
+        with pytest.raises(FormatError, match=r"TaskSpec\.prompts\[0\]: expected bytes"):
+            read_fields(TaskSpec, {**doc, "prompts": ["\u0100"]})
+
+    def test_an_absent_field_reads_as_null(self, tiny_task):
+        doc = tiny_task.to_dict()
+        assert "expected" not in doc
+        assert read_fields(TaskSpec, doc).expected is None
+        del doc["epsilon"]
+        with pytest.raises(FormatError, match=r"TaskSpec\.epsilon: expected float, found null"):
+            read_fields(TaskSpec, doc)
+
+    def test_the_dataclass_checks_name_the_class(self, tiny_task):
+        with pytest.raises(FormatError, match=r"TaskSpec: epsilon must lie in"):
+            read_fields(TaskSpec, {**tiny_task.to_dict(), "epsilon": 1.5})
+        with pytest.raises(FormatError, match=r"PruningVector\.factor_set: factor set must start"):
+            read_fields(PruningVector, {"indices": [0], "factor_set": [0.5]})
+
+    def test_a_wrong_schema_names_the_expected_tag(self, tiny_task):
+        doc = tiny_task.to_dict()
+        for bad in [{**doc, "schema": "taskprune-task-v0"},
+                    {k: v for k, v in doc.items() if k != "schema"}, [doc], None]:
+            with pytest.raises(FormatError, match="expected schema 'taskprune-task-v1'"):
+                read_fields(TaskSpec, bad, "taskprune-task-v1")
 
 
 class TestAccounting:
