@@ -38,6 +38,7 @@ from .model import (
     FormatError,
     ModelWeights,
     SiteId,
+    SiteKind,
     TransformerConfig,
     _transformer,
     checked_tensor,
@@ -60,8 +61,10 @@ DEFAULT_LEVELS = (1.0, 0.9, 0.75, 0.6, 0.5, 0.35, 0.25, 0.2, 0.1, 0.05)
 # sequences: small enough that a block's pairs are still in cache when they
 # are copied into the capture, large enough that the per-block overhead is
 # small. Capturing 12k, 24k and 48k tokens of the 4-layer calib-scale
-# benchmark model (48-token sequences) took 3.1-3.4 s with blocks of 4 to 64
-# sequences, and over 5 s with 1 sequence or with 1000 per block.
+# benchmark model (48-token sequences) afresh, 84k tokens in all, took
+# 3.1-3.4 s with blocks of 4 to 64 sequences, and over 5 s with 1 sequence
+# or with 1000 per block. The calibration sweep now runs those 48k tokens
+# once, through a `reuse` dict.
 CAPTURE_BLOCK_TOKENS = 1024
 
 
@@ -149,6 +152,7 @@ def capture_calibration(
     model: ModelWeights,
     corpus: bytes | Sequence[int],
     min_tokens: int = 200_000,
+    reuse: dict | None = None,
 ) -> ActivationCapture:
     """Run the first min_tokens corpus tokens through the model with every
     site tapped; inputs are chunked into max_seq_len sequences.
@@ -159,33 +163,55 @@ def capture_calibration(
     partial sequence is a block of its own), and each block's pairs are
     copied into their columns, so the columns stay in corpus order. Batch
     rows never mix, so the pairs have the bits of one pass per sequence.
+
+    `reuse`, a dict that the caller owns, keeps those buffers from one call
+    to the next: they are as wide as all the corpus tokens passed in, and
+    are kept while the model and those tokens are the same (a new model or
+    corpus allocates new ones). A call then runs only the whole sequences
+    that no earlier call ran, and returns the column prefixes of the
+    buffers, which stay valid until the next call with the same dict. A
+    trailing partial sequence is always run again at its own length: its
+    bits differ from those of the same columns in a whole sequence.
     """
     tokens = tokenize(corpus) if isinstance(corpus, (bytes, str)) else list(corpus)
     check_calibration_size(len(tokens), min_tokens)
-    tokens = tokens[:min_tokens]
-    corpus_fp = hashlib.sha256(bytes(tokens)).hexdigest()
+    if reuse is None:
+        reuse, tokens = {}, tokens[:min_tokens]
+    key = (model_fingerprint(model), hashlib.sha256(bytes(tokens)).hexdigest())
+    if reuse.get("key") != key:
+        reuse.clear()
+        reuse.update(key=key, held=0, entries={
+            site: tuple(np.empty((d, len(tokens))) for d in site_dims(model.config, site))
+            for site in sites(model.config)})
+    entries: dict[SiteId, tuple[Matrix, Matrix]] = reuse["entries"]
+    # put back the columns of a whole sequence that the last call's tail overwrote
+    cols, saved = reuse.pop("overwritten", (slice(0), {}))
+    for site, (x, y) in saved.items():
+        entries[site][0][:, cols], entries[site][1][:, cols] = x, y
 
-    tap_set = frozenset(sites(model.config))
-    entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
-    for site in sites(model.config):
-        d_in, d_out = site_dims(model.config, site)
-        entries[site] = (np.empty((d_in, min_tokens)), np.empty((d_out, min_tokens)))
     step = model.config.max_seq_len
     width = max(1, CAPTURE_BLOCK_TOKENS // step) * step
-    full = min_tokens - min_tokens % step
-    # a block edge every `width` tokens, and one after the last whole sequence
-    edges = sorted({*range(0, full, width), full, min_tokens})
+    held, full = reuse["held"], min_tokens - min_tokens % step
+    blocks = [(lo, min(lo + width, full)) for lo in range(held, full, width)]
+    if full < min_tokens:
+        blocks.append((full, min_tokens))
+        if full < held:
+            cols = slice(full, min_tokens)
+            reuse["overwritten"] = (cols, {site: (x[:, cols].copy(), y[:, cols].copy())
+                                           for site, (x, y) in entries.items()})
+    tap_set = frozenset(entries)
     ids = np.asarray(tokens, dtype=np.int64)
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in blocks:
         _, pairs = _transformer(model, ids[lo:hi].reshape(-1, min(step, hi - lo)), tap_set)
         for site, (x, y) in pairs.items():
             entries[site][0][:, lo:hi] = x
             entries[site][1][:, lo:hi] = y
+    reuse["held"] = max(held, full)
     return ActivationCapture(
-        entries=entries,
+        entries={site: (x[:, :min_tokens], y[:, :min_tokens]) for site, (x, y) in entries.items()},
         tokens=min_tokens,
-        model_fingerprint=model_fingerprint(model),
-        corpus_fingerprint=corpus_fp,
+        model_fingerprint=key[0],
+        corpus_fingerprint=hashlib.sha256(bytes(tokens[:min_tokens])).hexdigest(),
     )
 
 
@@ -426,41 +452,71 @@ def save_cache(cache: AdapterCache, path) -> None:
     save_container(path, *_cache_container(cache))
 
 
+@dataclass(frozen=True)
+class CacheRow:
+    """One row of a cache manifest. A flagged entry is kept dense and may
+    give its reason; any other entry has its rank, method and errors."""
+
+    layer: int
+    kind: SiteKind
+    factor_index: int
+    flagged: bool
+    reason: str | None = None
+    rank: int | None = None
+    method: Method | None = None
+    calib_error: float | None = None
+    achieved_factor: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.flagged and None in (self.rank, self.method, self.calib_error,
+                                         self.achieved_factor):
+            raise ValueError("an entry that is not flagged needs its rank, method, "
+                             "calib_error and achieved_factor")
+
+
+@dataclass(frozen=True)
+class CacheMeta:
+    """The fields of a cache container's metadata that load_cache reads
+    (read_kind reads its kind and config)."""
+
+    factor_set: FactorSet
+    options: FactorizeOptions
+    model_fingerprint: str
+    calib_fingerprint: str
+    entries: list[CacheRow]
+
+
 def load_cache(path) -> AdapterCache:
     meta, tensors, config = read_kind(path, CACHE_VERSION, "adapter_cache")
     try:
-        factor_set = read_fields(FactorSet, meta.get("factor_set"))
-        opts = read_fields(FactorizeOptions, meta.get("options"))
+        fields = read_fields(CacheMeta, meta)
+        factor_set = fields.factor_set
         entries: dict[tuple[SiteId, int], FactorizedMatrix | None] = {}
         flagged: dict[tuple[SiteId, int], str] = {}
-        for i, row in enumerate(meta["entries"]):
-            site = read_fields(SiteId, row)
-            fi = int(row["factor_index"])
+        for i, row in enumerate(fields.entries):
+            site, fi = SiteId(row.layer, row.kind), row.factor_index
             # level 0 is dense and implied, so listing it counts as twice
             if (site, fi) in entries or fi == 0:
                 raise FormatError(f"cache manifest lists {site} at level {fi} twice")
-            if row.get("flagged"):
+            if row.flagged:
                 entries[(site, fi)] = None
-                flagged[(site, fi)] = str(row.get("reason", ""))
+                flagged[(site, fi)] = row.reason or ""
                 continue
             d_in, d_out = site_dims(config, site)
-            rank = int(row["rank"])
             # compression_ratio counts parameters from the level, not the rank
             expected, _ = rank_for_factor(factor_set[fi], d_in, d_out)
-            if rank != expected:
-                raise FormatError(f"{site} has rank {rank} at level {factor_set[fi]}, "
+            if row.rank != expected:
+                raise FormatError(f"{site} has rank {row.rank} at level {factor_set[fi]}, "
                                   f"expected {expected}")
-            fm = FactorizedMatrix(
-                b=checked_tensor(tensors, f"e{i}.b", (d_out, rank)),
-                c=checked_tensor(tensors, f"e{i}.c", (rank, d_in)),
-                rank=rank,
-                method=Method(row["method"]),
-                calib_error=float(row["calib_error"]),
-                achieved_factor=float(row["achieved_factor"]),
+            entries[(site, fi)] = FactorizedMatrix(
+                b=checked_tensor(tensors, f"e{i}.b", (d_out, row.rank)),
+                c=checked_tensor(tensors, f"e{i}.c", (row.rank, d_in)),
+                rank=row.rank,
+                method=row.method,
+                calib_error=row.calib_error,
+                achieved_factor=row.achieved_factor,
             )
-            entries[(site, fi)] = fm
-        fingerprints = str(meta["model_fingerprint"]), str(meta["calib_fingerprint"])
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, ValueError) as exc:
         raise FormatError(f"bad cache metadata: {exc}") from exc
     levels = range(1, len(factor_set))
     # counted before sites() lists every claimed layer
@@ -468,7 +524,8 @@ def load_cache(path) -> AdapterCache:
             or set(entries) != {(s, fi) for s in sites(config) for fi in levels}):
         raise FormatError("cache manifest does not cover every site and factor level")
     entries.update(((site, 0), None) for site in sites(config))
-    return AdapterCache(config, factor_set, *fingerprints, opts, entries, flagged)
+    return AdapterCache(config, factor_set, fields.model_fingerprint, fields.calib_fingerprint,
+                        fields.options, entries, flagged)
 
 
 def _capture_container(capture: ActivationCapture,
@@ -497,13 +554,23 @@ def save_capture(capture: ActivationCapture, config: TransformerConfig, path) ->
     save_container(path, *_capture_container(capture, config))
 
 
+@dataclass(frozen=True)
+class CaptureMeta:
+    """The fields of a capture container's metadata that load_capture reads."""
+
+    tokens: int
+    model_fingerprint: str
+    corpus_fingerprint: str
+    sites: list[SiteId]
+
+
 def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:
     meta, tensors, config = read_kind(path, CAPTURE_VERSION, "capture")
     try:
-        tokens = int(meta["tokens"])
+        fields = read_fields(CaptureMeta, meta)
+        tokens = fields.tokens
         entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
-        for i, row in enumerate(meta["sites"]):
-            site = read_fields(SiteId, row)
+        for i, site in enumerate(fields.sites):
             if site in entries:
                 raise FormatError(f"capture manifest lists {site} twice")
             d_in, d_out = site_dims(config, site)
@@ -515,12 +582,7 @@ def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:
         # counted before sites() lists every claimed layer
         if len(entries) != len(KIND_ORDER) * config.n_layers or set(entries) != set(sites(config)):
             raise FormatError("capture manifest does not cover every site of its config")
-        capture = ActivationCapture(
-            entries=entries,
-            tokens=tokens,
-            model_fingerprint=str(meta["model_fingerprint"]),
-            corpus_fingerprint=str(meta["corpus_fingerprint"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise FormatError(f"bad capture metadata: {exc}") from exc
-    return capture, config
+    return ActivationCapture(entries, tokens, fields.model_fingerprint,
+                             fields.corpus_fingerprint), config

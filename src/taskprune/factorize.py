@@ -211,10 +211,10 @@ def reconstruction_gradients(
 ) -> tuple[Matrix, Matrix]:
     """Gradients of L(b,c) = 0.5 * ||y - b c x||_F^2 w.r.t. b and c."""
     cx = c @ x
-    resid = y - b @ cx
-    grad_b = -resid @ cx.T
-    grad_c = -b.T @ resid @ x.T
-    return grad_b, grad_c
+    # r = b c x - y is minus the residual, so neither gradient negates a copy
+    r = b @ cx
+    r -= y
+    return r @ cx.T, (b.T @ r) @ x.T
 
 
 class OutputAlignedSite:

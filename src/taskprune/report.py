@@ -112,25 +112,31 @@ def calibration_sweep(
     """Accuracy of a fixed uniform pruning level as calibration size grows.
 
     Captures each size, builds its cache (only at `level`) and evaluates.
-    A size's capture is dropped before the next size is captured, so only
-    one capture is held at a time. The level and every size are checked, and
+    The captures share one `reuse` dict over the first max(sizes) corpus
+    tokens, so each whole sequence runs through the model once, whatever
+    the order of the sizes, and a size's capture is a column prefix of
+    those buffers; only a size's trailing partial sequence runs again. A
+    size's capture is dropped before the next size is captured, so only one
+    capture is held at a time. The level and every size are checked, and
     the task is resolved against the unpruned model once, before the first
     size.
     """
     factor_set = FactorSet((1.0, level))
-    available = len(tokenize(corpus))
+    tokens = tokenize(corpus)
     for size in sizes:
-        check_calibration_size(available, size)
+        check_calibration_size(len(tokens), size)
+    tokens = tokens[:max(sizes, default=0)]
     task = exact_match_task(model, task)
+    reuse: dict = {}
     points = []
     for size in sizes:
-        capture = capture_calibration(model, corpus, min_tokens=size)
+        capture = capture_calibration(model, tokens, min_tokens=size, reuse=reuse)
         cache = build_cache(model, capture, factor_set, opts, workers=workers)
         ev = make_eval_fn(model, cache, task)
         vec = PruningVector.uniform(cache.factor_set, len(sites(model.config)), 1)
         points.append((size, ev(vec).accuracy))
-        # freed here, not at the next assignment, which comes after the
-        # next capture is built
+        # dropped here, not at the next assignment, which comes after the
+        # next capture call: its views are valid only until that call
         del capture
     return points
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -32,12 +33,22 @@ from taskprune.calibrate import (
 from taskprune import factorize
 from taskprune.factorize import FactorizeOptions, factorize_output_aligned, rank_for_factor
 from taskprune.linalg import derive_rng
-from taskprune.model import CACHE_VERSION, SiteId, SiteKind, forward, read_container, site_dims, sites
+from taskprune.model import (CACHE_VERSION, SiteId, SiteKind, forward, read_container, site_dims,
+                             sites, write_container)
 
 
 def manifest_rows(cache) -> list[dict]:
     _, meta, _ = read_container(io.BytesIO(cache_to_bytes(cache)), expected_version=CACHE_VERSION)
     return meta["entries"]
+
+
+def edit_metadata(path, edit) -> None:
+    """Write the container at `path` again with edit(meta) applied to its metadata."""
+    with open(path, "rb") as fh:
+        version, meta, tensors = read_container(fh)
+    edit(meta)
+    with open(path, "wb") as fh:
+        write_container(fh, version, meta, list(tensors.items()))
 
 
 class TestFactorSet:
@@ -140,6 +151,15 @@ class TestCapture:
             np.testing.assert_array_equal(loaded.entries[site][0], tiny_capture.entries[site][0])
             np.testing.assert_array_equal(loaded.entries[site][1], tiny_capture.entries[site][1])
 
+    def test_capture_tokens_read_as_an_int(self, tiny_model, tiny_corpus, tmp_path):
+        # "12" is the true count, which int() would accept
+        capture = capture_calibration(tiny_model, tiny_corpus, min_tokens=12)
+        path = tmp_path / "cap.siev"
+        save_capture(capture, tiny_model.config, path)
+        edit_metadata(path, lambda meta: meta.update(tokens="12"))
+        with pytest.raises(tp.model.FormatError, match="CaptureMeta.tokens: expected int, found str"):
+            load_capture(path)
+
     def test_save_rejects_a_capture_missing_a_site(self, tiny_model, tiny_capture, tmp_path):
         last = sites(tiny_model.config)[-1]
         partial = dataclasses.replace(tiny_capture, entries={
@@ -147,6 +167,65 @@ class TestCapture:
         with pytest.raises(KeyError):
             save_capture(partial, tiny_model.config, tmp_path / "cap.siev")
         assert os.listdir(tmp_path) == []
+
+
+def assert_same_capture(capture, fresh) -> None:
+    assert capture.tokens == fresh.tokens
+    assert capture.model_fingerprint == fresh.model_fingerprint
+    assert capture.corpus_fingerprint == fresh.corpus_fingerprint
+    assert capture.entries.keys() == fresh.entries.keys()
+    for site, pair in fresh.entries.items():
+        for got, want in zip(capture.entries[site], pair):
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), site
+
+
+class TestCaptureReuse:
+    # the tiny corpus has 3000 tokens, 93 whole sequences of 32 and 24 more
+    @pytest.mark.parametrize("sizes", [
+        [640, 1280, 2560],              # ascending, whole sequences
+        [2560, 1280, 640],              # descending
+        [1280, 1280, 2560, 2560],       # repeated
+        [1000, 2999, 17, 2999, 3000],   # tails, one shorter than a sequence
+        [3000, 1000, 3000, 40],         # tails inside sequences already run
+    ])
+    def test_each_capture_equals_a_fresh_one(self, tiny_model, tiny_corpus, sizes):
+        reuse: dict = {}
+        for size in sizes:
+            capture = capture_calibration(tiny_model, tiny_corpus, size, reuse=reuse)
+            assert_same_capture(capture, capture_calibration(tiny_model, tiny_corpus, size))
+
+    @pytest.mark.parametrize("sizes, rows", [
+        ([640, 1280, 2560], 80),
+        ([2560, 1280, 640], 80),
+        # 93 whole sequences, and the tails of 1000, 2999 and 3000 once each
+        ([1000, 2999, 640, 3000], 96),
+        # the tails of 1000 and 40 overwrite columns of whole sequences,
+        # which the next call puts back instead of running them again
+        ([3000, 1000, 3000, 40, 2976], 97),
+    ])
+    def test_only_sequences_not_yet_held_are_run(self, tiny_model, tiny_corpus, monkeypatch,
+                                                  sizes, rows):
+        seen = []
+        real = calibrate._transformer
+
+        def counting(model, ids, *args, **kwargs):
+            seen.append(ids.shape[0])
+            return real(model, ids, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "_transformer", counting)
+        reuse: dict = {}
+        for size in sizes:
+            capture_calibration(tiny_model, tiny_corpus, size, reuse=reuse)
+        assert sum(seen) == rows
+
+    def test_another_model_or_corpus_starts_again(self, tiny_model, tiny_corpus):
+        other = tp.random_model(tiny_model.config, seed=12)
+        reuse: dict = {}
+        capture_calibration(tiny_model, tiny_corpus, 2000, reuse=reuse)
+        for model, corpus in [(other, tiny_corpus), (other, tiny_corpus[::-1])]:
+            capture = capture_calibration(model, corpus, 1000, reuse=reuse)
+            assert_same_capture(capture, capture_calibration(model, corpus, 1000))
 
 
 class TestBuildCache:
@@ -455,4 +534,19 @@ class TestCachePersistence:
         path = tmp_path / "model.siev"
         tp.save_model(tiny_model, path)
         with pytest.raises(tp.model.FormatError):
+            load_cache(path)
+
+    # each value is one that int() or truth would accept: "no" is true, and
+    # the row chosen has rank 1, which int(True) equals
+    @pytest.mark.parametrize("field, value, message", [
+        ("flagged", "no", "CacheMeta.entries[7].flagged: expected bool, found str"),
+        ("rank", True, "CacheMeta.entries[7].rank: expected int, found bool"),
+    ])
+    def test_manifest_values_read_by_their_declared_types(self, tiny_cache, tmp_path,
+                                                          field, value, message):
+        assert manifest_rows(tiny_cache)[7]["rank"] == 1
+        path = tmp_path / "cache.siev"
+        save_cache(tiny_cache, path)
+        edit_metadata(path, lambda meta: meta["entries"][7].update({field: value}))
+        with pytest.raises(tp.model.FormatError, match=re.escape(message)):
             load_cache(path)

@@ -458,6 +458,31 @@ class TestErrorPaths:
         assert code == 3
         assert "cache was built for a different model" in capsys.readouterr().err
 
+    # values that int() or truth would take: "no" is true, row 7 has rank 1
+    # (layer0.qkv at level 0.1), which int(True) equals, and 2400 is the
+    # capture's true token count
+    @pytest.mark.parametrize("field, value, message", [
+        ("flagged", "no", "CacheMeta.entries[7].flagged: expected bool, found str"),
+        ("rank", True, "CacheMeta.entries[7].rank: expected int, found bool"),
+        ("tokens", "2400", "CaptureMeta.tokens: expected int, found str"),
+    ])
+    def test_mistyped_container_metadata_exits_3(self, workdir, tmp_path, monkeypatch, capsys,
+                                                 field, value, message):
+        monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
+        monkeypatch.setattr(OutputAlignedSite, "fit", no_decode)
+        if field == "tokens":
+            rewrite_metadata(workdir / "cap.siev", tmp_path / "cap.siev",
+                             lambda meta: meta.update(tokens=value))
+            argv = ["cache", "--model", workdir / "model.siev", "--capture", tmp_path / "cap.siev"]
+        else:
+            rewrite_metadata(workdir / "cache.siev", tmp_path / "cache.siev",
+                             lambda meta: meta["entries"][7].update({field: value}))
+            argv = ["search", "--mode", "up", "--model", workdir / "model.siev",
+                    "--cache", tmp_path / "cache.siev", "--task", workdir / "task.json"]
+        assert run([*argv, "--out", tmp_path / "out"]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("defect", ["short_x", "short_y", "missing_site", "repeated_site"])
     def test_malformed_capture_exits_3_before_fitting(
             self, workdir, tmp_path, monkeypatch, capsys, defect):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import taskprune as tp
-from taskprune import report, search
+from taskprune import calibrate, report, search
 from taskprune.calibrate import FactorSet, PruningVector, compression_ratio, retained_site_params
 from taskprune.factorize import FactorizeOptions
 from taskprune.linalg import derive_rng
@@ -181,6 +181,59 @@ class TestCalibrationSweep:
                                    level=0.5, opts=opts, workers=1)
         assert [size for size, _ in points] == [800, 1200, 2000]
         assert len(held) == 3
+
+    @pytest.mark.parametrize("sizes", [
+        [640, 1280, 2560],              # ascending, whole 32-token sequences
+        [2560, 1280, 640],              # descending
+        [1280, 1280, 2560],             # repeated
+        [1000, 2999, 17, 3000],         # sizes with partial last sequences
+    ])
+    def test_captures_and_caches_equal_fresh_ones(self, tiny_model, tiny_corpus, tiny_task,
+                                                  monkeypatch, sizes):
+        opts = FactorizeOptions(epochs=1, batch_tokens=500, learning_rate=0.003, seed=0)
+        real_capture, real_build = report.capture_calibration, report.build_cache
+        fresh_fps, swept_fps = [], []
+
+        def checked_capture(model, corpus, min_tokens, reuse=None):
+            capture = real_capture(model, corpus, min_tokens, reuse=reuse)
+            # compared now: the views are valid only until the next call
+            fresh = real_capture(model, tiny_corpus, min_tokens)
+            assert capture.corpus_fingerprint == fresh.corpus_fingerprint
+            for site, (x, y) in fresh.entries.items():
+                got_x, got_y = capture.entries[site]
+                assert np.ascontiguousarray(got_x).tobytes() == x.tobytes()
+                assert np.ascontiguousarray(got_y).tobytes() == y.tobytes()
+            fresh_fps.append(real_build(model, fresh, FactorSet((1.0, 0.5)), opts,
+                                        workers=1).fingerprint())
+            return capture
+
+        def recorded_build(*args, **kwargs):
+            cache = real_build(*args, **kwargs)
+            swept_fps.append(cache.fingerprint())
+            return cache
+
+        monkeypatch.setattr(report, "capture_calibration", checked_capture)
+        monkeypatch.setattr(report, "build_cache", recorded_build)
+        points = calibration_sweep(tiny_model, tiny_corpus, sizes, tiny_task,
+                                   level=0.5, opts=opts, workers=2)
+        assert [size for size, _ in points] == sizes
+        assert swept_fps == fresh_fps and len(fresh_fps) == len(sizes)
+
+    def test_each_sequence_runs_once(self, tiny_model, tiny_corpus, tiny_task, monkeypatch):
+        rows = []
+        real = calibrate._transformer
+
+        def counting(model, ids, *args, **kwargs):
+            rows.append(ids.shape[0])
+            return real(model, ids, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "_transformer", counting)
+        opts = FactorizeOptions(epochs=1, batch_tokens=500, learning_rate=0.003, seed=0)
+        calibration_sweep(tiny_model, tiny_corpus, [1000, 2999, 640, 3000], tiny_task,
+                          level=0.5, opts=opts, workers=1)
+        # the 93 whole sequences of the first 3000 tokens, and the partial
+        # last sequences of 1000, 2999 and 3000 tokens
+        assert sum(rows) == 93 + 3
 
     @pytest.mark.parametrize("level, sizes", [
         (1.0, [500]),           # a factor set (1.0, 1.0) is not descending
