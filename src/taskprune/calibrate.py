@@ -41,6 +41,7 @@ from .model import (
     SiteKind,
     TransformerConfig,
     _transformer,
+    check_prompts,
     checked_tensor,
     container_bytes,
     forward,  # noqa: F401 - perfbench/spans.py traces it under this module
@@ -177,6 +178,9 @@ def capture_calibration(
     check_calibration_size(len(tokens), min_tokens)
     if reuse is None:
         reuse, tokens = {}, tokens[:min_tokens]
+    step = model.config.max_seq_len
+    # each max_seq_len sequence of the corpus is checked as a prompt
+    check_prompts(model.config, (tokens[lo:lo + step] for lo in range(0, len(tokens), step)), 0)
     key = (model_fingerprint(model), hashlib.sha256(bytes(tokens)).hexdigest())
     if reuse.get("key") != key:
         reuse.clear()
@@ -189,7 +193,6 @@ def capture_calibration(
     for site, (x, y) in saved.items():
         entries[site][0][:, cols], entries[site][1][:, cols] = x, y
 
-    step = model.config.max_seq_len
     width = max(1, CAPTURE_BLOCK_TOKENS // step) * step
     held, full = reuse["held"], min_tokens - min_tokens % step
     blocks = [(lo, min(lo + width, full)) for lo in range(held, full, width)]

@@ -27,6 +27,7 @@ from .calibrate import (
 )
 from .model import (
     TransformerConfig,
+    check_prompts,
     load_model,
     model_fingerprint,
     read_fields,
@@ -123,28 +124,13 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-def _check_task(config: TransformerConfig, task) -> None:
-    """Reject prompts the model cannot decode: empty, out of its vocabulary,
-    or too long to take max_new_tokens more within its context."""
-    for i, prompt in enumerate(task.prompts):
-        if not prompt:
-            raise ValueError(f"prompt {i} is empty")
-        if len(prompt) + task.max_new_tokens > config.max_seq_len:
-            raise ValueError(
-                f"prompt {i} has {len(prompt)} bytes; with max_new_tokens "
-                f"{task.max_new_tokens} it overflows max_seq_len {config.max_seq_len}")
-        if max(prompt) >= config.vocab_size:
-            raise ValueError(f"prompt {i} holds byte {max(prompt)} >= vocab_size "
-                             f"{config.vocab_size}")
-
-
 def _load_run_inputs(args):
     model = load_model(args.model)
     cache = load_cache(args.cache)
     task = load_task(args.task)
     if args.epsilon is not None:
         task = dataclasses.replace(task, epsilon=args.epsilon)
-    _check_task(model.config, task)
+    check_prompts(model.config, task.prompts, task.max_new_tokens)
     cache.check_model(model)
     return model, cache, task
 
@@ -182,7 +168,7 @@ def cmd_search(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     task = load_task(args.task)
-    _check_task(model.config, task)
+    check_prompts(model.config, task.prompts, task.max_new_tokens)
     target = model
     if args.pruning:
         if not args.cache:
@@ -215,7 +201,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--kind calibration requires --corpus and --sizes")
     model = load_model(args.model)
     task = load_task(args.task)
-    _check_task(model.config, task)
+    check_prompts(model.config, task.prompts, task.max_new_tokens)
     if args.kind == "uniform":
         cache = load_cache(args.cache)
         cache.check_model(model)

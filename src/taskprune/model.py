@@ -285,20 +285,21 @@ def _attention(qkv: np.ndarray, n_heads: int, kv: np.ndarray | None = None) -> n
     return np.concatenate(outs, axis=-1)
 
 
-def _check_ids(config: TransformerConfig, ids: np.ndarray, max_new: int = 0, start: int = 0) -> None:
-    """Reject a (batch, seq) block that is empty, that overflows the context
-    when it starts at position `start` and max_new tokens are appended, or
-    that holds an id outside the vocabulary."""
-    seq = ids.shape[1]
-    if seq == 0:
-        raise ValueError("token sequence is empty")
-    if start + seq + max_new > config.max_seq_len:
-        raise ValueError(
-            f"context overflow: {start + seq} tokens + {max_new} new tokens "
-            f"> max_seq_len {config.max_seq_len}"
-        )
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError("token id out of range")
+def check_prompts(config: TransformerConfig, prompts: Iterable[Sequence[int]], max_new: int) -> None:
+    """Reject, by its index, a prompt the model cannot decode: empty, holding
+    an id outside [0, vocab_size), or overflowing the context with max_new
+    tokens appended. The one check of ids, made where they enter the program."""
+    for i, prompt in enumerate(prompts):
+        if len(prompt) == 0:
+            raise ValueError(f"prompt {i} is empty")
+        if len(prompt) + max_new > config.max_seq_len:
+            raise ValueError(
+                f"prompt {i} has {len(prompt)} bytes; with max_new_tokens "
+                f"{max_new} it overflows max_seq_len {config.max_seq_len}")
+        lo, hi = min(prompt), max(prompt)
+        if lo < 0 or hi >= config.vocab_size:
+            bad = f"{lo} < 0" if lo < 0 else f"{hi} >= vocab_size {config.vocab_size}"
+            raise ValueError(f"prompt {i} holds byte {bad}: token id out of range")
 
 
 def _columns(a: np.ndarray) -> Matrix:
@@ -320,7 +321,8 @@ def _site_product(base: ModelWeights, adapters: dict, site: SiteId, x: np.ndarra
 def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] | None = None,
                  cache: list[np.ndarray] | None = None, outputs: list | None = None,
                  read_from: int = 0):
-    """Run a (batch, seq) block of token ids through every layer.
+    """Run a (batch, seq) block of token ids, which its callers check
+    (check_prompts), through every layer.
 
     `model` is a ModelWeights or anything exposing `.base` / `.adapters`
     (a pruned model). Returns the final residual stream (batch, seq, d_model)
@@ -351,7 +353,6 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
     base: ModelWeights = getattr(model, "base", model)
     adapters: dict = getattr(model, "adapters", None) or {}
     start = cache[0].shape[1] if cache else 0
-    _check_ids(base.config, ids, start=start)
     d_model = base.config.d_model
     last = base.config.n_layers - 1
     pairs: dict[SiteId, tuple[Matrix, Matrix]] = {}
@@ -412,6 +413,7 @@ def forward(
     """Logits at every position of one sequence, and the capture of the
     tapped sites (None without taps)."""
     base: ModelWeights = getattr(model, "base", model)
+    check_prompts(base.config, [tokens], 0)
     x, pairs = _transformer(model, np.asarray(tokens, dtype=np.int64).reshape(1, -1), taps)
     logits = _head(base, x[0])
     if not taps:
@@ -471,6 +473,7 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
 def _decode_layout(config: TransformerConfig, prompts, expected, width: int,
                    max_new: int) -> list[tuple[list[int], np.ndarray, int]]:
     """(prompt indices, checked prompt + draft ids, prompt length) per length."""
+    check_prompts(config, prompts, max_new)
     by_len: dict[int, list[int]] = {}
     for i, p in enumerate(prompts):
         by_len.setdefault(len(p), []).append(i)
@@ -478,7 +481,6 @@ def _decode_layout(config: TransformerConfig, prompts, expected, width: int,
     for length, idxs in by_len.items():
         ids = np.full((len(idxs), length + width), STOP_BYTE, dtype=np.int64)
         ids[:, :length] = [list(prompts[i]) for i in idxs]
-        _check_ids(config, ids[:, :length], max_new)
         for r, i in enumerate(idxs):
             # a token outside the vocabulary never matches, so what follows
             # it is never read; feed STOP_BYTE in its place

@@ -17,7 +17,9 @@ over prompt + draft gives every greedy token up to the first one off the
 draft, which decides the verdict.
 
 Files are written whole (model.write_atomic), except ga_search's history: it is
-streamed and flushed per generation, so that an interrupted run can be resumed.
+streamed into `<history>.partial`, flushed per generation, and moved over the
+history when the run ends, so that an interrupted run keeps the earlier
+history and can be resumed from both.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .calibrate import AdapterCache, PruningVector, assemble, compression_ratio
-from .model import (STOP_BYTE, ModelWeights, greedy_decode_batch, read_fields, read_json, sites,
-                    write_atomic, write_json)
+from .model import (STOP_BYTE, ModelWeights, check_prompts, greedy_decode_batch, read_fields,
+                    read_json, sites, write_atomic, write_json)
 
 log = logging.getLogger(__name__)
 
@@ -106,9 +108,11 @@ class EvalResult:
 
 
 def exact_match_task(model, task: TaskSpec) -> TaskSpec:
-    """The task in EXACT_MATCH form. An EXACT_MATCH task is returned as it
+    """The task in EXACT_MATCH form, its prompts checked first against
+    `model`'s config (check_prompts). An EXACT_MATCH task is returned as it
     is; a BASELINE_AGREEMENT task gets `model`'s greedy decodes, decoded once,
     as its expected strings."""
+    check_prompts(model.config, task.prompts, task.max_new_tokens)
     if task.mode is TaskMode.EXACT_MATCH:
         return task
     decoded = greedy_decode_batch(model, task.prompts, task.max_new_tokens)
@@ -337,14 +341,15 @@ def ga_search(
     A population is a list of gene tuples; its scored form is the list of
     records it adds to the history, and selection reads those records.
 
-    Evaluation is memoized on the gene tuple, which also makes the run
-    resumable: with `resume=True` an existing history file at `history_path`
-    pre-seeds the memo so previously scored vectors are not re-decoded. The
-    memo keeps accuracy and compression only; fitness is derived from them
-    with this run's a0 and penalty gain, which the earlier run may not share. A
-    resumed run streams its records to `<history_path>.partial` and moves
-    that file over the history only when it finishes, so an interrupted
-    resume leaves the earlier history as it was.
+    Every run streams its records to `<history_path>.partial` and moves that
+    file over the history only when it ends, so an interrupted run leaves
+    the earlier history as it was, and its finished generations in the
+    partial. Evaluation is memoized on the gene tuple, which also makes the
+    run resumable: with `resume=True` the history at `history_path`, then a
+    partial that an interrupted run left, pre-seed the memo so previously
+    scored vectors are not re-decoded. The memo keeps accuracy and
+    compression only; fitness is derived from them with this run's a0 and
+    penalty gain, which the earlier run may not share.
     """
     cfg = cfg or GaConfig()
     factor_set = cache.factor_set
@@ -357,17 +362,17 @@ def ga_search(
     a0 = threshold_accuracy(a_star, task.epsilon)
 
     memo: dict[tuple[int, ...], tuple[float, float]] = {}
-    stream_path = history_path
-    if resume and history_path is not None:
-        try:
-            for rec in read_history(history_path):
-                memo[rec.genes] = (rec.accuracy, rec.compression)
-            log.info("resumed %d memoized evaluations from %s", len(memo), history_path)
-        except FileNotFoundError:
-            pass
-        stream_path = os.fspath(history_path) + ".partial"
+    partial = None if history_path is None else os.fspath(history_path) + ".partial"
+    if resume and partial is not None:
+        for path in (history_path, partial):
+            try:
+                for rec in read_history(path):
+                    memo[rec.genes] = (rec.accuracy, rec.compression)
+            except FileNotFoundError:
+                pass
+        log.info("resumed %d memoized evaluations from %s", len(memo), history_path)
 
-    stream = open(stream_path, "w", encoding="utf-8") if stream_path is not None else None
+    stream = open(partial, "w", encoding="utf-8") if partial is not None else None
 
     def job(genes: tuple[int, ...]) -> tuple[float, float]:
         vec = PruningVector(genes, factor_set)
@@ -478,8 +483,8 @@ def ga_search(
             pool.shutdown()
         if stream is not None:
             stream.close()
-    if stream_path != history_path:
-        os.replace(stream_path, history_path)
+    if partial is not None:
+        os.replace(partial, history_path)
     unique = len(memo) - resumed
     log.info("ga_search: %d evaluations requested, %d unique, %d served by the memo",
              len(history), unique, len(history) - unique)

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import threading
 from decimal import Decimal
@@ -419,6 +420,43 @@ class TestGaSearch:
         assert len(calls) > 3
         assert path.read_bytes() == before
 
+    def test_interrupted_run_streams_beside_earlier_history(self, tiny_model, tiny_cache,
+                                                           tiny_task, tmp_path):
+        # a fresh run, not only a resume, keeps the earlier history until it
+        # ends; a resume then takes the finished generations from its partial
+        cfg = GaConfig(population=12, seed=15, stall_generations=2, max_generations=3)
+        path = tmp_path / "hist.jsonl"
+        ga_search(tiny_model, tiny_cache, tiny_task, cfg, history_path=path)
+        before = path.read_bytes()
+        real = make_eval_fn(tiny_model, tiny_cache, tiny_task)
+        calls = []
+
+        def interrupted(vector):
+            calls.append(vector.indices)
+            if len(calls) > 16:     # the baseline and generation 0 take at most 13
+                raise KeyboardInterrupt
+            return real(vector)
+
+        other = dataclasses.replace(cfg, seed=16)
+        with pytest.raises(KeyboardInterrupt):
+            ga_search(tiny_model, tiny_cache, tiny_task, other, eval_fn=interrupted,
+                      history_path=path)
+        assert path.read_bytes() == before
+        streamed = read_history(f"{path}.partial")
+        assert [rec.generation for rec in streamed] == [0] * 12
+        assert {rec.genes for rec in streamed} <= set(calls)
+        calls.clear()
+
+        def counting(vector):
+            calls.append(vector.indices)
+            return real(vector)
+
+        ga_search(tiny_model, tiny_cache, tiny_task, other, eval_fn=counting,
+                  history_path=path, resume=True)
+        assert calls[0] == (0,) * 8
+        assert not {rec.genes for rec in streamed} & set(calls[1:])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.jsonl"]
+
     def test_completed_resume_rewrites_identical_history(self, tiny_model, tiny_cache, tiny_task,
                                                          tmp_path):
         cfg = GaConfig(population=12, seed=13, stall_generations=2, max_generations=3)
@@ -550,29 +588,61 @@ def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_ca
 
 
 def test_eval_fn_lays_the_task_out_once(tiny_model, tiny_cache, tiny_task, monkeypatch):
-    # 32 prompts of three lengths, so three blocks; a check of a prompt block
-    # against max_new is what building a block's layout does first
+    # 32 prompts of three lengths, so three blocks in the one layout
     prompts = [p[:n] for p, n in zip(tiny_task.prompts, [8, 5, 3] * 11)]
     task = dataclasses.replace(tiny_task, prompts=prompts)
-    checks = []
-    real_check_ids = tp.model._check_ids
+    layouts = []
+    real_layout = tp.model._decode_layout
 
-    def counting_check_ids(*args, **kwargs):
-        if len(args) == 3:          # (config, prompt block, max_new)
-            checks.append(args[1].shape)
-        return real_check_ids(*args, **kwargs)
+    def counting_layout(*args, **kwargs):
+        layouts.append(real_layout(*args, **kwargs))
+        return layouts[-1]
 
-    monkeypatch.setattr(tp.model, "_check_ids", counting_check_ids)
+    monkeypatch.setattr(tp.model, "_decode_layout", counting_layout)
     ev = make_eval_fn(tiny_model, tiny_cache, task)
-    checks.clear()
+    layouts.clear()
     rng = derive_rng(331)
     vectors = [PruningVector(tuple(int(g) for g in rng.integers(0, 10, size=8)),
                              tiny_cache.factor_set) for _ in range(12)]
     results = [ev(v) for v in vectors]
-    assert sorted(checks) == [(10, 3), (11, 5), (11, 8)]      # once per block, not per vector
+    assert len(layouts) == 1                                  # once, not per vector
+    # each block holds its prompts and a draft of max_new_tokens - 1 = 2 bytes
+    assert sorted(ids.shape for _, ids, _ in layouts[0]) == [(10, 5), (11, 7), (11, 10)]
     monkeypatch.undo()
     resolved = exact_match_task(tiny_model, task)
     assert results == [evaluate(assemble(tiny_model, v, tiny_cache), resolved) for v in vectors]
+
+
+@pytest.mark.parametrize("bad, message, in_corpus", [
+    ([], "is empty", False),
+    ([1] * 9, "has 9 bytes", False),
+    ([1, 100, 2], "holds byte 100 >= vocab_size 64", True),
+    ([1, -1, 2], "holds byte -1 < 0", True),
+], ids=["empty", "overflow", "past-vocab", "negative"])
+def test_bad_prompt_is_rejected_where_it_enters(monkeypatch, bad, message, in_corpus):
+    # every entry point names the prompt, and no pass through the layers runs
+    cfg = tp.TransformerConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
+                               vocab_size=64, max_seq_len=8)
+    model = tp.random_model(cfg, seed=21)
+    prompts = [[1, 2], [3, 4, 5], bad]
+    tasks = [TaskSpec(TaskMode.BASELINE_AGREEMENT, prompts, None, 3, 0.1),
+             TaskSpec(TaskMode.EXACT_MATCH, prompts, [b"ab"] * 3, 3, 0.1)]
+    passes = []
+    for module in (tp.model, tp.calibrate):
+        monkeypatch.setattr(module, "_transformer", lambda *a, **k: passes.append(a))
+    calls = [(2, lambda: tp.greedy_decode_batch(model, prompts, 3)),
+             (2, lambda: tp.greedy_decode_batch(model, prompts, 3, expected=[[1]] * 3)),
+             (0, lambda: tp.forward(model, bad)),
+             *((2, lambda task=task: exact_match_task(model, task)) for task in tasks),
+             # the sizes are checked first, then the task, then the first size captured
+             *((2, lambda task=task: tp.calibration_sweep(model, bytes(range(1, 64)), [40, 20], task))
+               for task in tasks)]
+    if in_corpus:
+        calls.append((1, lambda: tp.capture_calibration(model, list(range(1, 9)) + bad, 11)))
+    for index, call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"prompt {index} {message}")):
+            call()
+    assert passes == []
 
 
 # --- histories pinned across commits ------------------------------------------
