@@ -27,8 +27,6 @@ from .factorize import (
     RankDeficiencyError,
     UNPRUNED,
     factorize_output_aligned,
-    factorize_pca_x,
-    factorize_rrr_oracle,
     factorize_svd_w,
     rank_for_factor,
 )

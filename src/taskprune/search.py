@@ -38,8 +38,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .calibrate import AdapterCache, PruningVector, assemble, compression_ratio
-from .model import (STOP_BYTE, ModelWeights, check_prompts, greedy_decode_batch, read_fields,
-                    read_json, sites, write_atomic, write_json)
+from .model import (STOP_BYTE, FormatError, ModelWeights, check_prompts, greedy_decode_batch,
+                    read_fields, read_json, sites, write_atomic, write_json)
 
 log = logging.getLogger(__name__)
 
@@ -202,9 +202,27 @@ def write_history(records: Iterable[EvalRecord], path) -> None:
     write_atomic(path, "".join(map(_history_line, records)).encode("utf-8"))
 
 
-def read_history(path) -> list[EvalRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [read_fields(EvalRecord, json.loads(line)) for line in fh if line.strip()]
+def read_history(path, partial: bool = False) -> list[EvalRecord]:
+    """The records of a history file; a line that is not one raises FormatError.
+
+    `partial=True` reads the stream of a run that may have been killed. The
+    stream writes whole lines, so a last line without its newline was cut
+    short; it is dropped with a warning."""
+    with open(path, "rb") as fh:
+        *lines, tail = fh.read().split(b"\n")
+    if tail and partial:
+        log.warning("%s: dropped a last line cut short (%d bytes)", path, len(tail))
+    elif tail:
+        lines.append(tail)
+    records = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise FormatError(f"{path}: history line {number} is not JSON: {exc}") from exc
+            records.append(read_fields(EvalRecord, obj))
+    return records
 
 
 # --- uniform binary search --------------------------------------------------
@@ -366,7 +384,7 @@ def ga_search(
     if resume and partial is not None:
         for path in (history_path, partial):
             try:
-                for rec in read_history(path):
+                for rec in read_history(path, partial=path is partial):
                     memo[rec.genes] = (rec.accuracy, rec.compression)
             except FileNotFoundError:
                 pass

@@ -29,10 +29,7 @@ from taskprune.calibrate import (
 )
 from taskprune.factorize import (
     FactorizeOptions,
-    factorize_output_aligned,
-    factorize_pca_x,
-    factorize_rrr_oracle,
-    factorize_svd_w,
+    OutputAlignedSite,
     rank_for_factor,
     reconstruction_gradients,
 )
@@ -85,9 +82,8 @@ def test_criterion_01_oracle_dominance(fifty_instances):
     start = time.time()
     wins = 0
     for seed, rank, w, x, y in fifty_instances:
-        rrr = factorize_rrr_oracle(w, x, rank)
-        svd = factorize_svd_w(w, rank, x, y)
-        pca = factorize_pca_x(w, x, rank)
+        site = OutputAlignedSite(w, x, y)
+        rrr, svd, pca = site.closed_form(rank), site.svd_w(rank), site.pca_x(rank)
         assert rrr.calib_error < svd.calib_error   # strict: misaligned family
         assert rrr.calib_error < pca.calib_error
         wins += 1
@@ -98,10 +94,10 @@ def test_criterion_01_oracle_dominance(fifty_instances):
 def test_criterion_02_gd_within_5pct_of_oracle(fifty_instances):
     start = time.time()
     for seed, rank, w, x, y in fifty_instances:
-        rrr = factorize_rrr_oracle(w, x, rank)
-        init = factorize_svd_w(w, rank, x, y)
-        gd = factorize_output_aligned(
-            w, x, y, rank,
+        site = OutputAlignedSite(w, x, y)
+        rrr, init = site.closed_form(rank), site.svd_w(rank)
+        gd = site.fit(
+            rank,
             FactorizeOptions(epochs=5000, batch_tokens=64, learning_rate=0.003,
                              seed=seed),
         )

@@ -31,7 +31,8 @@ from taskprune.calibrate import (
     save_capture,
 )
 from taskprune import factorize
-from taskprune.factorize import FactorizeOptions, factorize_output_aligned, rank_for_factor
+from taskprune.factorize import (FactorizeOptions, OutputAlignedSite, factorize_output_aligned,
+                                 rank_for_factor)
 from taskprune.linalg import derive_rng
 from taskprune.model import (CACHE_VERSION, SiteId, SiteKind, forward, read_container, site_dims,
                              sites, write_container)
@@ -331,6 +332,18 @@ class TestBuildCache:
                 assert np.array_equal(built.c, alone.c)
                 assert built.calib_error == alone.calib_error
 
+    def test_closed_form_certifies_every_entry(self, tiny_model, tiny_capture, tiny_cache):
+        # the closed form is the optimum at each rank, so no GD entry beats it;
+        # a layer norm leaves X one empty direction at the qkv and ffn1 sites
+        for site in sites(tiny_model.config):
+            fit = OutputAlignedSite(tiny_model.site_weight(site), *tiny_capture.entries[site])
+            d_in, _ = site_dims(tiny_model.config, site)
+            fed_by_norm = site.kind in (SiteKind.QKV, SiteKind.FFN1)
+            assert fit.x_root.size == (d_in - 1 if fed_by_norm else d_in)
+            for fi in range(1, len(tiny_cache.factor_set)):
+                entry = tiny_cache.entry(site, fi)
+                assert fit.closed_form(entry.rank).calib_error <= entry.calib_error
+
     def test_one_svd_per_site(self, tiny_model, tiny_capture, monkeypatch):
         calls = []
         real = factorize.truncated_svd
@@ -379,12 +392,10 @@ class TestAssemble:
 
     def test_full_rank_equivalent_site_is_representable(self, tiny_model, tiny_capture):
         from taskprune.calibrate import PrunedModel
-        from taskprune.factorize import factorize_rrr_oracle
 
         site = SiteId(0, SiteKind.OUT)
         w = tiny_model.site_weight(site)
-        x, _ = tiny_capture.entries[site]
-        fm = factorize_rrr_oracle(w, x, min(w.shape))
+        fm = OutputAlignedSite(w, *tiny_capture.entries[site]).closed_form(min(w.shape))
         pruned = PrunedModel(base=tiny_model, adapters={site: fm})
         tokens = [5, 9, 200, 31]
         a, _ = forward(tiny_model, tokens)

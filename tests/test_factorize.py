@@ -18,8 +18,6 @@ from taskprune.factorize import (
     RankDeficiencyError,
     achieved_factor,
     factorize_output_aligned,
-    factorize_pca_x,
-    factorize_rrr_oracle,
     factorize_svd_w,
     pair_error,
     rank_for_factor,
@@ -88,11 +86,16 @@ class TestRankForFactor:
         assert af2 == af
 
 
+def site_of(w, x, y=None):
+    return OutputAlignedSite(w, x, w @ x if y is None else y)
+
+
 class TestSvdW:
     def test_weight_space_error_is_eckart_young(self):
+        # x = I and y = W make the calibration error the weight-space error
         rng = derive_rng(40)
         w = rng.normal(size=(10, 6))
-        fm = factorize_svd_w(w, 3)
+        fm = OutputAlignedSite(w, np.eye(6), w).svd_w(3)
         s = np.linalg.svd(w, compute_uv=False)
         expected = math.sqrt(np.sum(s[3:] ** 2) / np.sum(s ** 2))
         assert fm.calib_error == pytest.approx(expected, rel=1e-9)
@@ -102,19 +105,28 @@ class TestSvdW:
 
     def test_calibration_error_when_pair_supplied(self):
         w, x, y = misaligned_instance(41)
-        fm = factorize_svd_w(w, 4, x, y)
+        fm = site_of(w, x, y).svd_w(4)
         assert fm.calib_error == pytest.approx(pair_error(fm.b, fm.c, x, y))
 
+    def test_is_the_fit_init(self):
+        # a learning rate below every ulp leaves fit at its initial iterate
+        w, x, y = misaligned_instance(41)
+        site = site_of(w, x, y)
+        init = site.fit(4, FactorizeOptions(epochs=1, learning_rate=1e-300))
+        fm = site.svd_w(4)
+        assert np.array_equal(fm.b, init.b) and np.array_equal(fm.c, init.c)
+        assert factorize_svd_w(w, 4, x, y).calib_error == fm.calib_error
+
     def test_achieved_factor_exact(self):
-        w = derive_rng(42).normal(size=(12, 8))
-        fm = factorize_svd_w(w, 2)
+        rng = derive_rng(42)
+        fm = site_of(rng.normal(size=(12, 8)), rng.normal(size=(8, 20))).svd_w(2)
         assert fm.achieved_factor == 2 * (12 + 8) / (12 * 8)
 
 
 class TestPcaX:
     def test_orthonormal_projection_rows(self):
-        w, x, _ = misaligned_instance(43)
-        fm = factorize_pca_x(w, x, 4)
+        w, x, y = misaligned_instance(43)
+        fm = site_of(w, x, y).pca_x(4)
         np.testing.assert_allclose(fm.c @ fm.c.T, np.eye(4), atol=1e-9)
         assert fm.method is Method.PCA_X
 
@@ -123,19 +135,19 @@ class TestPcaX:
         w = rng.normal(size=(8, 8))
         x = np.tile(rng.normal(size=(8, 1)), (1, 20))  # rank 1 inputs
         with pytest.raises(RankDeficiencyError):
-            factorize_pca_x(w, x, 3)
+            site_of(w, x).pca_x(3)
 
     def test_too_few_columns(self):
         rng = derive_rng(45)
         with pytest.raises(ValueError):
-            factorize_pca_x(rng.normal(size=(8, 8)), rng.normal(size=(8, 2)), 3)
+            site_of(rng.normal(size=(8, 8)), rng.normal(size=(8, 2))).pca_x(3)
 
     def test_recovers_exact_low_rank_inputs(self):
         rng = derive_rng(46)
         w = rng.normal(size=(8, 8))
         basis = np.linalg.qr(rng.normal(size=(8, 3)))[0]
         x = basis @ rng.normal(size=(3, 50))
-        fm = factorize_pca_x(w, x, 3)
+        fm = site_of(w, x).pca_x(3)
         assert fm.calib_error < 1e-9
 
 
@@ -144,40 +156,50 @@ class TestRrrOracle:
         rng = derive_rng(47)
         w = rng.normal(size=(8, 8))
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        fm_rrr = factorize_rrr_oracle(w, q, 3)
-        fm_svd = factorize_svd_w(w, 3, q, w @ q)
-        assert fm_rrr.calib_error == pytest.approx(fm_svd.calib_error, abs=1e-9)
+        site = site_of(w, q)
+        assert site.closed_form(3).calib_error == pytest.approx(site.svd_w(3).calib_error,
+                                                                abs=1e-9)
 
     def test_exact_when_inputs_have_rank_r(self):
         rng = derive_rng(48)
         w = rng.normal(size=(10, 8))
         basis = np.linalg.qr(rng.normal(size=(8, 4)))[0]
         x = basis @ rng.normal(size=(4, 64))
-        fm = factorize_rrr_oracle(w, x, 4)
+        fm = site_of(w, x).closed_form(4)
         assert fm.calib_error < 1e-9
+        assert fm.method is Method.RRR_ORACLE
 
     def test_dominates_svd_and_pca(self):
         for seed in range(8):
-            w, x, y = misaligned_instance(seed + 100)
-            rrr = factorize_rrr_oracle(w, x, 4)
-            svd = factorize_svd_w(w, 4, x, y)
-            pca = factorize_pca_x(w, x, 4)
-            assert rrr.calib_error < svd.calib_error
-            assert rrr.calib_error < pca.calib_error
+            site = site_of(*misaligned_instance(seed + 100))
+            rrr = site.closed_form(4)
+            assert rrr.calib_error < site.svd_w(4).calib_error
+            assert rrr.calib_error < site.pca_x(4).calib_error
 
     def test_all_zero_inputs_rejected(self):
+        # outputs off W X, since zero outputs are rejected before any method
+        site = OutputAlignedSite(np.eye(4), np.zeros((4, 10)), np.ones((4, 10)))
         with pytest.raises(RankDeficiencyError):
-            factorize_rrr_oracle(np.eye(4), np.zeros((4, 10)), 2)
+            site.closed_form(2)
+        with pytest.raises(RankDeficiencyError):
+            site.pca_x(2)
 
     def test_rank_deficient_inputs_use_pseudo_inverse(self):
         rng = derive_rng(49)
         w = rng.normal(size=(6, 6))
         basis = np.linalg.qr(rng.normal(size=(6, 2)))[0]
         x = basis @ rng.normal(size=(2, 30))
-        fm = factorize_rrr_oracle(w, x, 4)  # asks for more rank than x carries
+        fm = site_of(w, x).closed_form(4)  # asks for more rank than x carries
         assert fm.rank == 2
         assert fm.calib_error < 1e-9
         assert np.all(np.isfinite(fm.b)) and np.all(np.isfinite(fm.c))
+
+    def test_rank_out_of_range_rejected(self):
+        site = site_of(*misaligned_instance(432)[:2])
+        for method in (site.svd_w, site.pca_x, site.closed_form):
+            for rank in (0, 17):
+                with pytest.raises(ValueError, match="out of range"):
+                    method(rank)
 
 
 class TestOutputAlignedGd:
@@ -199,7 +221,7 @@ class TestOutputAlignedGd:
 
     def test_close_to_oracle(self):
         w, x, y = misaligned_instance(51)
-        rrr = factorize_rrr_oracle(w, x, 4)
+        rrr = site_of(w, x, y).closed_form(4)
         fm = factorize_output_aligned(w, x, y, 4, self.OPTS)
         assert fm.calib_error <= rrr.calib_error * 1.05
 
@@ -449,10 +471,9 @@ class TestAnisotropySeparation:
         for seed in (300, 301, 302):
             w, x, y = misaligned_instance(seed, decay=0.5)
             rank = 4
-            svd = factorize_svd_w(w, rank, x, y)
-            pca = factorize_pca_x(w, x, rank)
-            rrr = factorize_rrr_oracle(w, x, rank)
-            gd = factorize_output_aligned(w, x, y, rank, TestOutputAlignedGd.OPTS)
+            site = site_of(w, x, y)
+            svd, pca, rrr = site.svd_w(rank), site.pca_x(rank), site.closed_form(rank)
+            gd = site.fit(rank, TestOutputAlignedGd.OPTS)
             assert rrr.calib_error < svd.calib_error
             assert rrr.calib_error < pca.calib_error
             assert gd.calib_error < svd.calib_error
@@ -462,11 +483,11 @@ class TestAnisotropySeparation:
 
 
 def test_achieved_factor_formula_exact_for_every_method():
-    w, x, y = misaligned_instance(57, d_out=12, d_in=10)
+    site = site_of(*misaligned_instance(57, d_out=12, d_in=10))
     for fm in (
-        factorize_svd_w(w, 3, x, y),
-        factorize_pca_x(w, x, 3),
-        factorize_rrr_oracle(w, x, 3),
-        factorize_output_aligned(w, x, y, 3, FactorizeOptions(epochs=5, batch_tokens=64)),
+        site.svd_w(3),
+        site.pca_x(3),
+        site.closed_form(3),
+        site.fit(3, FactorizeOptions(epochs=5, batch_tokens=64)),
     ):
         assert fm.achieved_factor == achieved_factor(fm.rank, 10, 12)

@@ -25,6 +25,7 @@ from taskprune.calibrate import (
     compression_ratio,
 )
 from taskprune.linalg import derive_rng
+from taskprune.model import FormatError
 from taskprune.search import (
     EvalRecord,
     EvalResult,
@@ -457,6 +458,42 @@ class TestGaSearch:
         assert not {rec.genes for rec in streamed} & set(calls[1:])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.jsonl"]
 
+    def test_resume_drops_a_cut_last_line_of_the_partial(self, tiny_model, tiny_cache,
+                                                        tiny_task, tmp_path, caplog):
+        # a kill or a full disk mid-write leaves a last line without its newline
+        cfg = GaConfig(population=12, seed=16, stall_generations=2, max_generations=3)
+        path = tmp_path / "hist.jsonl"
+        partial = tmp_path / "hist.jsonl.partial"
+        real = make_eval_fn(tiny_model, tiny_cache, tiny_task)
+        calls = []
+
+        def interrupted(vector):
+            calls.append(vector.indices)
+            if len(calls) > 16:     # the baseline and generation 0 take at most 13
+                raise KeyboardInterrupt
+            return real(vector)
+
+        with pytest.raises(KeyboardInterrupt):
+            ga_search(tiny_model, tiny_cache, tiny_task, cfg, eval_fn=interrupted,
+                      history_path=path)
+        cut = partial.read_bytes()[:-20]
+        partial.write_bytes(cut)
+        whole = cut[:cut.rindex(b"\n") + 1]
+        kept = {tuple(json.loads(line)["genes"]) for line in whole.splitlines()}
+        assert len(kept) > 1
+        calls.clear()
+
+        def counting(vector):
+            calls.append(vector.indices)
+            return real(vector)
+
+        with caplog.at_level(logging.WARNING, logger="taskprune.search"):
+            ga_search(tiny_model, tiny_cache, tiny_task, cfg, eval_fn=counting,
+                      history_path=path, resume=True)
+        assert f"cut short ({len(cut) - len(whole)} bytes)" in caplog.text
+        assert calls[0] == (0,) * 8
+        assert not kept & set(calls[1:])
+
     def test_completed_resume_rewrites_identical_history(self, tiny_model, tiny_cache, tiny_task,
                                                          tmp_path):
         cfg = GaConfig(population=12, seed=13, stall_generations=2, max_generations=3)
@@ -532,6 +569,22 @@ def test_history_round_trip(tmp_path):
     # canonical JSONL is byte-stable
     write_history(read_history(path), tmp_path / "h2.jsonl")
     assert (tmp_path / "h2.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_malformed_history_lines_raise_format_error(tmp_path):
+    first = EvalRecord(0, (1, 2, 3), 0.5, 0.25, 1.5)
+    path = tmp_path / "h.jsonl"
+    write_history([first, EvalRecord(1, (0, 0, 9), 1.0, 0.9, 30.0)], path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(data[:-20])
+    assert read_history(cut, partial=True) == [first]
+    with pytest.raises(FormatError, match="line 2"):
+        read_history(cut)       # only a partial may end in a cut line
+    line1, line2 = data.splitlines(keepends=True)
+    cut.write_bytes(line1[:-20] + b"\n" + line2)
+    with pytest.raises(FormatError, match="line 1"):
+        read_history(cut, partial=True)
 
 
 def test_failed_history_write_keeps_the_earlier_file(tmp_path):
