@@ -307,15 +307,29 @@ def _columns(a: np.ndarray) -> Matrix:
     return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
 
 
+def _rows_product(x: np.ndarray, *weights: Matrix) -> np.ndarray:
+    """x @ w₁ᵀ @ w₂ᵀ … over x's last axis, as one 2-D product per weight of
+    all of x's rows.
+
+    numpy runs a stacked (batch, seq, d) matmul as one small product per
+    batch row. One product over all the rows is faster, and the bits of a
+    row then do not depend on how the rows split into (batch, seq). The
+    transposed weight is copied contiguous (about 1 µs at these sizes),
+    which BLAS multiplies faster than the strided view.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    for w in weights:
+        rows = rows @ np.ascontiguousarray(w.T)
+    return rows.reshape(*x.shape[:-1], rows.shape[-1])
+
+
 def _site_product(base: ModelWeights, adapters: dict, site: SiteId, x: np.ndarray) -> np.ndarray:
     """One prunable site's product x @ Wᵀ, through its adapter when it has one."""
     fm = adapters.get(site)
-    # the products stay 3-D: flattened to (batch*seq, d) they change the
-    # captured pairs and the logits in the last bits
     if fm is None:
-        return x @ base.site_weight(site).T
+        return _rows_product(x, base.site_weight(site))
     # low-rank path: y = B (C x), done as two chained products
-    return (x @ fm.c.T) @ fm.b.T
+    return _rows_product(x, fm.c, fm.b)
 
 
 def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] | None = None,
@@ -402,7 +416,7 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
 
 def _head(base: ModelWeights, x: np.ndarray) -> np.ndarray:
     """Final layer norm and unembedding: residual rows -> logits."""
-    return layer_norm(x, base.final_gain, base.final_bias) @ base.unembed.T
+    return _rows_product(layer_norm(x, base.final_gain, base.final_bias), base.unembed)
 
 
 def forward(

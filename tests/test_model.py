@@ -28,6 +28,7 @@ from taskprune.model import (
     SiteKind,
     _attention,
     _head,
+    _site_product,
     _transformer,
     forward,
     gelu,
@@ -164,6 +165,23 @@ class TestForward:
             w = tiny_model.site_weight(site)
             assert x.shape[1] == len(tokens)
             assert frobenius_rel_error(y, w @ x) <= 1e-12
+
+    def test_products_depend_only_on_the_rows(self, tiny_model, tiny_cache):
+        # numpy runs a stacked matmul as one product per batch row, whose bits
+        # may differ from one product over all the rows
+        fs = tiny_cache.factor_set
+        pruned = assemble(tiny_model, PruningVector((3,) * 8, fs), tiny_cache)
+        assert set(pruned.adapters) == set(sites(tiny_model.config))
+        rng = derive_rng(25)
+        for site in sites(tiny_model.config):
+            rows = rng.normal(size=(832, site_dims(tiny_model.config, site)[0]))
+            for adapters in ({}, pruned.adapters):
+                split = _site_product(tiny_model, adapters, site, rows.reshape(64, 13, -1))
+                whole = _site_product(tiny_model, adapters, site, rows.reshape(1, 832, -1))
+                assert np.array_equal(split.reshape(832, -1), whole[0]), (site, bool(adapters))
+        rows = rng.normal(size=(832, tiny_model.config.d_model))
+        split = _head(tiny_model, rows.reshape(64, 13, -1))
+        assert np.array_equal(split.reshape(832, -1), _head(tiny_model, rows.reshape(1, 832, -1))[0])
 
 
 def attention(q, k, v):
@@ -419,9 +437,10 @@ def layer_loop_reference(model, ids):
 
     def product(li, kind, x):
         fm = adapters.get(SiteId(li, kind))
-        if fm is None:
-            return x @ base.site_weight(SiteId(li, kind)).T
-        return (x @ fm.c.T) @ fm.b.T
+        rows = x.reshape(-1, x.shape[-1])
+        for w in [base.site_weight(SiteId(li, kind))] if fm is None else [fm.c, fm.b]:
+            rows = rows @ np.ascontiguousarray(w.T)
+        return rows.reshape(*x.shape[:-1], -1)
 
     x = base.embed[ids] + base.pos_embed[:ids.shape[1]]
     for li, layer in enumerate(base.layers):
