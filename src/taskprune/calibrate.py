@@ -59,7 +59,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LEVELS = (1.0, 0.9, 0.75, 0.6, 0.5, 0.35, 0.25, 0.2, 0.1, 0.05)
 # Tokens per block of a capture's layer loop, rounded down to whole
-# sequences: small enough that a block's pairs are still in cache when they
+# sequences: small enough that a block's inputs are still in cache when they
 # are copied into the capture, large enough that the per-block overhead is
 # small. Capturing 12k, 24k and 48k tokens of the 4-layer calib-scale
 # benchmark model (48-token sequences) afresh, 84k tokens in all, took
@@ -158,40 +158,42 @@ def capture_calibration(
     """Run the first min_tokens corpus tokens through the model with every
     site tapped; inputs are chunked into max_seq_len sequences.
 
-    Each site's x and y are allocated once, at their full width. The
-    sequences run through the layer loop in blocks of about
+    Each site's input x (its outputs are W x) is allocated once, at its full
+    width. The sequences run through the layer loop in blocks of about
     CAPTURE_BLOCK_TOKENS tokens (at least one sequence each; the trailing
-    partial sequence is a block of its own), and each block's pairs are
+    partial sequence is a block of its own), and each block's inputs are
     copied into their columns, so the columns stay in corpus order. Batch
-    rows never mix, so the pairs have the bits of one pass per sequence.
+    rows never mix, so x has the bits of one pass per sequence.
 
     `reuse`, a dict that the caller owns, keeps those buffers from one call
     to the next: they are as wide as all the corpus tokens passed in, and
     are kept while the model and those tokens are the same (a new model or
-    corpus allocates new ones). A call then runs only the whole sequences
-    that no earlier call ran, and returns the column prefixes of the
-    buffers, which stay valid until the next call with the same dict. A
-    trailing partial sequence is always run again at its own length: its
-    bits differ from those of the same columns in a whole sequence.
+    corpus allocates new ones and checks the corpus as prompts). A call then
+    runs only the whole sequences that no earlier call ran, and returns the
+    column prefixes of the buffers, which stay valid until the next call
+    with the same dict. A trailing partial sequence is always run again at
+    its own length: its bits differ from those of the same columns in a
+    whole sequence.
     """
     tokens = tokenize(corpus) if isinstance(corpus, (bytes, str)) else list(corpus)
     check_calibration_size(len(tokens), min_tokens)
     if reuse is None:
         reuse, tokens = {}, tokens[:min_tokens]
     step = model.config.max_seq_len
-    # each max_seq_len sequence of the corpus is checked as a prompt
-    check_prompts(model.config, (tokens[lo:lo + step] for lo in range(0, len(tokens), step)), 0)
-    key = (model_fingerprint(model), hashlib.sha256(bytes(tokens)).hexdigest())
+    ids = np.asarray(tokens, dtype=np.int64)
+    # hashed as int64: bytes() would raise on an id past a byte before its check
+    key = (model_fingerprint(model), hashlib.sha256(ids.tobytes()).hexdigest())
     if reuse.get("key") != key:
+        check_prompts(model.config, (tokens[lo:lo + step] for lo in range(0, len(tokens), step)), 0)
         reuse.clear()
-        reuse.update(key=key, held=0, entries={
-            site: tuple(np.empty((d, len(tokens))) for d in site_dims(model.config, site))
+        reuse.update(key=key, held=0, inputs={
+            site: np.empty((site_dims(model.config, site)[0], len(tokens)))
             for site in sites(model.config)})
-    entries: dict[SiteId, tuple[Matrix, Matrix]] = reuse["entries"]
+    inputs: dict[SiteId, Matrix] = reuse["inputs"]
     # put back the columns of a whole sequence that the last call's tail overwrote
     cols, saved = reuse.pop("overwritten", (slice(0), {}))
-    for site, (x, y) in saved.items():
-        entries[site][0][:, cols], entries[site][1][:, cols] = x, y
+    for site, x in saved.items():
+        inputs[site][:, cols] = x
 
     width = max(1, CAPTURE_BLOCK_TOKENS // step) * step
     held, full = reuse["held"], min_tokens - min_tokens % step
@@ -200,18 +202,16 @@ def capture_calibration(
         blocks.append((full, min_tokens))
         if full < held:
             cols = slice(full, min_tokens)
-            reuse["overwritten"] = (cols, {site: (x[:, cols].copy(), y[:, cols].copy())
-                                           for site, (x, y) in entries.items()})
-    tap_set = frozenset(entries)
-    ids = np.asarray(tokens, dtype=np.int64)
+            reuse["overwritten"] = (cols, {site: x[:, cols].copy() for site, x in inputs.items()})
+    tap_set = frozenset(inputs)
     for lo, hi in blocks:
-        _, pairs = _transformer(model, ids[lo:hi].reshape(-1, min(step, hi - lo)), tap_set)
-        for site, (x, y) in pairs.items():
-            entries[site][0][:, lo:hi] = x
-            entries[site][1][:, lo:hi] = y
+        _, taps = _transformer(model, ids[lo:hi].reshape(-1, min(step, hi - lo)), tap_set)
+        for site, x in taps.items():
+            inputs[site][:, lo:hi] = x.reshape(-1, x.shape[-1]).T
     reuse["held"] = max(held, full)
     return ActivationCapture(
-        entries={site: (x[:, :min_tokens], y[:, :min_tokens]) for site, (x, y) in entries.items()},
+        inputs={site: x[:, :min_tokens] for site, x in inputs.items()},
+        weights={site: model.site_weight(site) for site in inputs},
         tokens=min_tokens,
         model_fingerprint=key[0],
         corpus_fingerprint=hashlib.sha256(bytes(tokens[:min_tokens])).hexdigest(),
@@ -285,7 +285,7 @@ def build_cache(
         raise CacheMismatchError("capture was recorded from a different model")
 
     site_list = sites(model.config)
-    missing = [s for s in site_list if s not in capture.entries]
+    missing = [s for s in site_list if s not in capture.inputs]
     if missing:
         raise ValueError(f"capture is missing sites: {missing}")
     levels = range(1, len(factor_set))
@@ -293,7 +293,7 @@ def build_cache(
     def run(site: SiteId) -> list[tuple[int, FactorizedMatrix | None, str | None]]:
         d_in, d_out = site_dims(model.config, site)
         try:
-            fit = OutputAlignedSite(model.site_weight(site), *capture.entries[site])
+            fit = OutputAlignedSite(model.site_weight(site), capture.inputs[site])
         except DegenerateSiteError as exc:
             log.warning("%s: %s; keeping all %d levels dense", site, exc, len(levels))
             return [(fi, None, str(exc)) for fi in levels]
@@ -535,11 +535,7 @@ def _capture_container(capture: ActivationCapture,
                        config: TransformerConfig) -> tuple[int, dict, list[tuple[str, np.ndarray]]]:
     ordered = sites(config)
     manifest = [{"layer": s.layer, "kind": s.kind.value} for s in ordered]
-    tensors: list[tuple[str, np.ndarray]] = []
-    for i, site in enumerate(ordered):
-        x, y = capture.entries[site]
-        tensors.append((f"s{i}.x", x))
-        tensors.append((f"s{i}.y", y))
+    tensors = [(f"s{i}.x", capture.inputs[site]) for i, site in enumerate(ordered)]
     meta = {
         "kind": "capture",
         "config": asdict(config),
@@ -567,25 +563,23 @@ class CaptureMeta:
     sites: list[SiteId]
 
 
-def load_capture(path) -> tuple[ActivationCapture, TransformerConfig]:
+def load_capture(path, model: ModelWeights) -> ActivationCapture:
+    """The capture at `path`, with the weights of `model`, which it was recorded from."""
     meta, tensors, config = read_kind(path, CAPTURE_VERSION, "capture")
     try:
         fields = read_fields(CaptureMeta, meta)
         tokens = fields.tokens
-        entries: dict[SiteId, tuple[Matrix, Matrix]] = {}
+        inputs: dict[SiteId, Matrix] = {}
         for i, site in enumerate(fields.sites):
-            if site in entries:
+            if site in inputs:
                 raise FormatError(f"capture manifest lists {site} twice")
-            d_in, d_out = site_dims(config, site)
-            x, y = tensors[f"s{i}.x"], tensors[f"s{i}.y"]
-            if x.shape != (d_in, tokens) or y.shape != (d_out, tokens):
-                raise FormatError(f"{site} has x {x.shape} and y {y.shape}, expected "
-                                  f"({d_in}, {tokens}) and ({d_out}, {tokens})")
-            entries[site] = (x, y)
+            inputs[site] = checked_tensor(tensors, f"s{i}.x", (site_dims(config, site)[0], tokens))
         # counted before sites() lists every claimed layer
-        if len(entries) != len(KIND_ORDER) * config.n_layers or set(entries) != set(sites(config)):
+        if len(inputs) != len(KIND_ORDER) * config.n_layers or set(inputs) != set(sites(config)):
             raise FormatError("capture manifest does not cover every site of its config")
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad capture metadata: {exc}") from exc
-    return ActivationCapture(entries, tokens, fields.model_fingerprint,
-                             fields.corpus_fingerprint), config
+    if fields.model_fingerprint != model_fingerprint(model) or config != model.config:
+        raise CacheMismatchError("capture was recorded from a different model")
+    return ActivationCapture(inputs, {site: model.site_weight(site) for site in inputs}, tokens,
+                             fields.model_fingerprint, fields.corpus_fingerprint)

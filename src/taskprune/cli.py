@@ -109,14 +109,14 @@ def cmd_capture(args) -> int:
     model = load_model(args.model)
     capture = capture_calibration(model, _read_corpus(args.corpus), min_tokens=args.tokens)
     save_capture(capture, model.config, args.out)
-    print(f"captured {capture.tokens} tokens over {len(capture.entries)} sites -> {args.out}")
+    print(f"captured {capture.tokens} tokens over {len(capture.inputs)} sites -> {args.out}")
     return EXIT_OK
 
 
 def cmd_cache(args) -> int:
     opts = _factorize_opts(args)
     model = load_model(args.model)
-    capture, _ = load_capture(args.capture)
+    capture = load_capture(args.capture, model)
     cache = build_cache(model, capture, opts=opts, workers=args.workers)
     save_cache(cache, args.out)
     print(f"built {cache.built_entries()} adapter entries -> {args.out} "

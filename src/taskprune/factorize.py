@@ -11,12 +11,12 @@ one weight, from one SVD of W and one eigendecomposition of X X^T:
 - closed_form:    minimizer of ||W X - b c X||_F over rank-R pairs, the
                   quality oracle for the learned method (method RRR_ORACLE).
 - output_aligned: gradient descent on both factors against the layer's
-                  actual outputs, initialized from svd_w, keeping the
+                  outputs, initialized from svd_w, keeping the
                   best-so-far iterate by full-data error (`fit`).
 
-With E = W - b c, R0 = Y - W X and X X^T = L L^T,
+With the outputs of the dense site Y = W X, E = W - b c and X X^T = L L^T,
 
-    ||Y - b c X||^2 = ||R0||^2 + 2 <R0 X^T, E> + ||E L||^2,
+    ||Y - b c X||^2 = ||E L||^2,
 
 so an error costs O(d_out d_in^2) instead of a pass over every token, and
 the closed form is the best rank-R approximation of W L mapped back
@@ -142,9 +142,9 @@ def _svd_factors(svd: SvdResult) -> tuple[Matrix, Matrix]:
     return svd.u * root, root[:, None] * svd.vt
 
 
-def factorize_svd_w(w: Matrix, rank: int, x_cal: Matrix, y_cal: Matrix) -> FactorizedMatrix:
+def factorize_svd_w(w: Matrix, rank: int, x_cal: Matrix) -> FactorizedMatrix:
     """OutputAlignedSite.svd_w; kept by name because perfbench/spans.py traces it."""
-    return OutputAlignedSite(w, x_cal, y_cal).svd_w(rank)
+    return OutputAlignedSite(w, x_cal).svd_w(rank)
 
 
 def reconstruction_gradients(
@@ -161,34 +161,24 @@ def reconstruction_gradients(
 class OutputAlignedSite:
     """Every factorization method of one weight, at any number of ranks.
 
-    Construction does the rank-independent work once: the full SVD of W,
-    sliced per rank for svd_w and GD's initialization, the eigendecomposition
-    of X X^T behind L, pca_x and the closed form, the statistics of the
-    full-data error (see the module docstring), and token-major copies of
-    the calibration pair for the batch gathers. Raises DegenerateSiteError
-    when the calibration outputs have zero norm.
+    Construction does the rank-independent work once: the outputs Y = W X,
+    the full SVD of W, sliced per rank for svd_w and GD's initialization,
+    the eigendecomposition of X X^T behind L, pca_x and the closed form (see
+    the module docstring), and token-major copies of X and Y for the batch
+    gathers. Raises DegenerateSiteError when the calibration outputs have
+    zero norm.
     """
 
-    def __init__(self, w: Matrix, x_cal: Matrix, y_cal: Matrix):
-        if x_cal.shape[1] != y_cal.shape[1]:
-            raise ValueError("x_cal and y_cal must have the same number of columns")
-        d_out, d_in = w.shape
-        if x_cal.shape[0] != d_in or y_cal.shape[0] != d_out:
-            raise ValueError("calibration pair does not match the weight shape")
-        self.w, self.x_cal, self.y_cal = w, x_cal, y_cal
-        # token-major copies: a batch is then a gather of contiguous rows
-        self.xt, self.yt = np.ascontiguousarray(x_cal.T), np.ascontiguousarray(y_cal.T)
-        self.y_norm = frobenius_norm(y_cal)
+    def __init__(self, w: Matrix, x_cal: Matrix):
+        if x_cal.ndim != 2 or x_cal.shape[0] != w.shape[1]:
+            raise ValueError(f"inputs {x_cal.shape} do not match the weight shape {w.shape}")
+        self.w, self.x_cal, self.y_cal = w, x_cal, w @ x_cal
+        self.y_norm = frobenius_norm(self.y_cal)
         if self.y_norm == 0.0:
             raise DegenerateSiteError("calibration outputs have zero norm")
+        # token-major copies: a batch is then a gather of contiguous rows
+        self.xt, self.yt = np.ascontiguousarray(x_cal.T), np.ascontiguousarray(self.y_cal.T)
         self.svd = truncated_svd(w, min(w.shape))
-        # R0 = Y - W X and then its squares in one (d_out, T) buffer: at
-        # 48k tokens each temporary it saves is tens of MB
-        r0 = w @ x_cal
-        np.subtract(y_cal, r0, out=r0)
-        self.r0_xt = r0 @ x_cal.T
-        np.multiply(r0, r0, out=r0)
-        self.r0_sq = float(np.sum(r0))
         # X X^T is singular for layer-norm-fed sites, which rules out
         # Cholesky; rounding can leave its zero eigenvalues slightly negative
         eigval, eigvec = np.linalg.eigh(x_cal @ x_cal.T)
@@ -201,11 +191,9 @@ class OutputAlignedSite:
         self.x_root = np.sqrt(eigval[::-1][:n_kept])
 
     def error(self, b: Matrix, c: Matrix) -> float:
-        """pair_error(b, c, x_cal, y_cal) from the per-site statistics."""
-        e = self.w - b @ c
-        el = e @ self.l
-        sq = self.r0_sq + 2.0 * float(np.sum(self.r0_xt * e)) + float(np.sum(el * el))
-        return math.sqrt(max(sq, 0.0)) / self.y_norm
+        """pair_error(b, c, x_cal, W x_cal) as ||(W - b c) L|| / ||Y||."""
+        el = (self.w - b @ c) @ self.l
+        return math.sqrt(float(np.sum(el * el))) / self.y_norm
 
     def fit(
         self, rank: int, opts: FactorizeOptions | None = None,
@@ -281,10 +269,9 @@ class OutputAlignedSite:
     def closed_form(self, rank: int) -> FactorizedMatrix:
         """The minimizer of ||W X - b c X||_F: with W L = U S Q^T over the
         kept directions, b = U_r sqrt(S_r) and c = sqrt(S_r) Q_r^T L^+. The
-        rank is capped at the number of kept directions of X."""
+        rank is capped at the number of kept directions of X, of which
+        construction leaves at least one."""
         self._check_rank(rank)
-        if self.x_root.size == 0:
-            raise RankDeficiencyError("calibration inputs are all zero")
         rank = min(rank, self.x_root.size)
         b, q = _svd_factors(truncated_svd((self.w @ self.x_basis) * self.x_root, rank))
         return self._result(b, (q / self.x_root) @ self.x_basis.T, rank, Method.RRR_ORACLE)
@@ -304,11 +291,10 @@ class OutputAlignedSite:
 def factorize_output_aligned(
     w: Matrix,
     x_cal: Matrix,
-    y_cal: Matrix,
     rank: int,
     opts: FactorizeOptions | None = None,
     _trace: list[float] | None = None,
 ) -> FactorizedMatrix:
     """OutputAlignedSite.fit at one rank; kept by name because
     perfbench/spans.py traces it through calibrate."""
-    return OutputAlignedSite(w, x_cal, y_cal).fit(rank, opts, _trace)
+    return OutputAlignedSite(w, x_cal).fit(rank, opts, _trace)

@@ -21,6 +21,7 @@ import json
 import os
 import struct
 import types
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
@@ -39,7 +40,7 @@ LN_EPS = 1e-5
 MAGIC = b"SIEV"
 MODEL_VERSION = 1
 CACHE_VERSION = 2
-CAPTURE_VERSION = 3
+CAPTURE_VERSION = 4
 
 
 class FormatError(ValueError):
@@ -185,12 +186,33 @@ class ModelWeights:
 
 @dataclass
 class ActivationCapture:
-    """Per-site calibration pairs, tokens as columns: x (d_in x T), y (d_out x T)."""
+    """Per-site calibration inputs x (d_in x T), tokens as columns, and the dense
+    site weights they were captured with; the outputs W x are not stored."""
 
-    entries: dict[SiteId, tuple[Matrix, Matrix]]
+    inputs: dict[SiteId, Matrix]
+    weights: dict[SiteId, Matrix]
     tokens: int
     model_fingerprint: str = ""
     corpus_fingerprint: str = ""
+
+    @property
+    def entries(self) -> Mapping[SiteId, tuple[Matrix, Matrix]]:
+        """Read-only (x, W x) per site, W x formed on each access; only perfbench reads it."""
+        return _Pairs(self)
+
+
+class _Pairs(Mapping):
+    def __init__(self, capture: ActivationCapture):
+        self.capture = capture
+
+    def __getitem__(self, site: SiteId) -> tuple[Matrix, Matrix]:
+        return self.capture.inputs[site], self.capture.weights[site] @ self.capture.inputs[site]
+
+    def __iter__(self) -> Iterator[SiteId]:
+        return iter(self.capture.inputs)
+
+    def __len__(self) -> int:
+        return len(self.capture.inputs)
 
 
 def random_model(
@@ -302,11 +324,6 @@ def check_prompts(config: TransformerConfig, prompts: Iterable[Sequence[int]], m
             raise ValueError(f"prompt {i} holds byte {bad}: token id out of range")
 
 
-def _columns(a: np.ndarray) -> Matrix:
-    """(batch, seq, d) -> (d, batch*seq): tokens as columns, batch-major."""
-    return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
-
-
 def _rows_product(x: np.ndarray, *weights: Matrix) -> np.ndarray:
     """x @ w₁ᵀ @ w₂ᵀ … over x's last axis, as one 2-D product per weight of
     all of x's rows.
@@ -340,8 +357,8 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
 
     `model` is a ModelWeights or anything exposing `.base` / `.adapters`
     (a pruned model). Returns the final residual stream (batch, seq, d_model)
-    and, for each tapped site, the exact operand pair (x, y) of its matrix
-    product with tokens as columns.
+    and, for each tapped site, the exact input (batch, seq, d_in) of its
+    matrix product.
 
     `cache`, when given, is the per-layer K/V cache of one decode: entry i
     holds layer i's packed k|v rows, (batch, n_seen, 2*d_model), of the
@@ -369,13 +386,12 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
     start = cache[0].shape[1] if cache else 0
     d_model = base.config.d_model
     last = base.config.n_layers - 1
-    pairs: dict[SiteId, tuple[Matrix, Matrix]] = {}
+    inputs: dict[SiteId, np.ndarray] = {}
 
     def site_product(site: SiteId, x: np.ndarray) -> np.ndarray:
-        y = _site_product(base, adapters, site, x)
         if taps and site in taps:
-            pairs[site] = (_columns(x), _columns(y))
-        return y
+            inputs[site] = x
+        return _site_product(base, adapters, site, x)
 
     first = len(outputs) if outputs else 0
     if first:
@@ -411,7 +427,7 @@ def _transformer(model, ids: np.ndarray, taps: set[SiteId] | frozenset[SiteId] |
             state = x + site_product(site, act) + layer.b_ffn2
         if outputs is not None:
             outputs.append(state)
-    return state, pairs
+    return state, inputs
 
 
 def _head(base: ModelWeights, x: np.ndarray) -> np.ndarray:
@@ -425,14 +441,15 @@ def forward(
     taps: set[SiteId] | frozenset[SiteId] | None = None,
 ) -> tuple[Matrix, ActivationCapture | None]:
     """Logits at every position of one sequence, and the capture of the
-    tapped sites (None without taps)."""
+    tapped sites (None without taps), with the base model's dense weights."""
     base: ModelWeights = getattr(model, "base", model)
     check_prompts(base.config, [tokens], 0)
-    x, pairs = _transformer(model, np.asarray(tokens, dtype=np.int64).reshape(1, -1), taps)
+    x, inputs = _transformer(model, np.asarray(tokens, dtype=np.int64).reshape(1, -1), taps)
     logits = _head(base, x[0])
     if not taps:
         return logits, None
-    return logits, ActivationCapture(entries=pairs, tokens=len(tokens))
+    inputs = {site: np.ascontiguousarray(rows[0].T) for site, rows in inputs.items()}
+    return logits, ActivationCapture(inputs, {s: base.site_weight(s) for s in inputs}, len(tokens))
 
 
 def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,

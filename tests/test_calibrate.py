@@ -34,8 +34,8 @@ from taskprune import factorize
 from taskprune.factorize import (FactorizeOptions, OutputAlignedSite, factorize_output_aligned,
                                  rank_for_factor)
 from taskprune.linalg import derive_rng
-from taskprune.model import (CACHE_VERSION, SiteId, SiteKind, forward, read_container, site_dims,
-                             sites, write_container)
+from taskprune.model import (CACHE_VERSION, CAPTURE_VERSION, SiteId, SiteKind, _rows_product,
+                             forward, read_container, site_dims, sites, write_container)
 
 
 def manifest_rows(cache) -> list[dict]:
@@ -92,16 +92,21 @@ class TestPruningVector:
 class TestCapture:
     def test_exact_token_count_and_shapes(self, tiny_model, tiny_capture):
         assert tiny_capture.tokens == 2500
-        assert set(tiny_capture.entries) == set(sites(tiny_model.config))
-        for site, (x, y) in tiny_capture.entries.items():
-            d_in, d_out = site_dims(tiny_model.config, site)
+        assert set(tiny_capture.inputs) == set(sites(tiny_model.config))
+        for site, x in tiny_capture.inputs.items():
+            d_in, _ = site_dims(tiny_model.config, site)
             assert x.shape == (d_in, 2500)
-            assert y.shape == (d_out, 2500)
+            assert tiny_capture.weights[site] is tiny_model.site_weight(site)
 
     def test_fidelity(self, tiny_model, tiny_capture):
-        for site, (x, y) in tiny_capture.entries.items():
-            w = tiny_model.site_weight(site)
-            assert tp.frobenius_rel_error(y, w @ x) <= 1e-12
+        # the outputs are not stored: the pair view forms W x on access
+        pairs = tiny_capture.entries
+        assert tuple(pairs) == sites(tiny_model.config)
+        for site, (x, y) in pairs.items():
+            assert x is tiny_capture.inputs[site]
+            assert y.tobytes() == (tiny_model.site_weight(site) @ x).tobytes()
+        with pytest.raises(TypeError):
+            pairs[site] = (x, y)
 
     def test_batched_capture_equals_per_chunk_forward(self, tiny_model, tiny_corpus, tiny_capture,
                                                       monkeypatch):
@@ -115,23 +120,26 @@ class TestCapture:
         caps = [forward(tiny_model, tokens[i:i + step], taps=taps)[1]
                 for i in range(0, len(tokens), step)]
         assert len(caps) == 79 and caps[-1].tokens == 4
-        refs = {site: [np.concatenate([c.entries[site][i] for c in caps], axis=1) for i in (0, 1)]
-                for site in taps}
+        refs = {site: np.concatenate([c.inputs[site] for c in caps], axis=1) for site in taps}
         captures = [tiny_capture]
         for block_tokens in (1, 100):
             monkeypatch.setattr(calibrate, "CAPTURE_BLOCK_TOKENS", block_tokens)
             captures.append(capture_calibration(tiny_model, tiny_corpus, min_tokens=2500))
         for capture in captures:
-            for site, (x, y) in capture.entries.items():
-                assert x.tobytes() == refs[site][0].tobytes()
-                assert y.tobytes() == refs[site][1].tobytes()
+            for site, x in capture.inputs.items():
+                assert x.tobytes() == refs[site].tobytes()
 
-    def test_token_ids_outside_vocabulary_rejected(self):
+    def test_token_ids_outside_vocabulary_rejected(self, monkeypatch):
+        # named on the first call, with or without a reuse dict, before any
+        # pass; 300 and -1 are not bytes, so the reuse key is not bytes()
         cfg = tp.TransformerConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
                                    vocab_size=64, max_seq_len=8)
         model = tp.random_model(cfg, seed=5)
-        with pytest.raises(ValueError, match="out of range"):
-            capture_calibration(model, [1, 2, 3, 4, 5, 6, 7, 8, 9, 64], min_tokens=10)
+        monkeypatch.setattr(calibrate, "_transformer", None)
+        for bad, why in [(64, ">= vocab_size 64"), (300, ">= vocab_size 64"), (-1, "< 0")]:
+            for reuse in (None, {}):
+                with pytest.raises(ValueError, match=f"prompt 1 holds byte {bad} {why}: token id"):
+                    capture_calibration(model, [1] * 9 + [bad], 10, reuse=reuse)
 
     def test_corpus_too_small(self, tiny_model):
         with pytest.raises(CorpusTooSmallError):
@@ -144,13 +152,29 @@ class TestCapture:
     def test_capture_save_load(self, tiny_model, tiny_capture, tmp_path):
         path = tmp_path / "cap.siev"
         save_capture(tiny_capture, tiny_model.config, path)
-        loaded, config = load_capture(path)
-        assert config == tiny_model.config
+        loaded = load_capture(path, tiny_model)
         assert loaded.tokens == tiny_capture.tokens
         assert loaded.model_fingerprint == tiny_capture.model_fingerprint
+        assert loaded.corpus_fingerprint == tiny_capture.corpus_fingerprint
         for site in sites(tiny_model.config):
-            np.testing.assert_array_equal(loaded.entries[site][0], tiny_capture.entries[site][0])
-            np.testing.assert_array_equal(loaded.entries[site][1], tiny_capture.entries[site][1])
+            assert loaded.inputs[site].tobytes() == tiny_capture.inputs[site].tobytes()
+            assert loaded.weights[site] is tiny_model.site_weight(site)
+        # x only: one tensor per site, and the file is refused for another model
+        with open(path, "rb") as fh:
+            _, _, tensors = read_container(fh)
+        assert tensors.keys() == {f"s{i}.x" for i in range(len(sites(tiny_model.config)))}
+        with pytest.raises(CacheMismatchError, match="different model"):
+            load_capture(path, tp.random_model(tiny_model.config, seed=12))
+
+    def test_capture_of_an_older_version_is_refused(self, tiny_model, tiny_capture, tmp_path):
+        path = tmp_path / "cap.siev"
+        save_capture(tiny_capture, tiny_model.config, path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (CAPTURE_VERSION - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        want = f"version mismatch: expected {CAPTURE_VERSION}, got {CAPTURE_VERSION - 1}"
+        with pytest.raises(tp.model.FormatError, match=want):
+            load_capture(path, tiny_model)
 
     def test_capture_tokens_read_as_an_int(self, tiny_model, tiny_corpus, tmp_path):
         # "12" is the true count, which int() would accept
@@ -159,12 +183,12 @@ class TestCapture:
         save_capture(capture, tiny_model.config, path)
         edit_metadata(path, lambda meta: meta.update(tokens="12"))
         with pytest.raises(tp.model.FormatError, match="CaptureMeta.tokens: expected int, found str"):
-            load_capture(path)
+            load_capture(path, tiny_model)
 
     def test_save_rejects_a_capture_missing_a_site(self, tiny_model, tiny_capture, tmp_path):
         last = sites(tiny_model.config)[-1]
-        partial = dataclasses.replace(tiny_capture, entries={
-            site: pair for site, pair in tiny_capture.entries.items() if site != last})
+        partial = dataclasses.replace(tiny_capture, inputs={
+            site: x for site, x in tiny_capture.inputs.items() if site != last})
         with pytest.raises(KeyError):
             save_capture(partial, tiny_model.config, tmp_path / "cap.siev")
         assert os.listdir(tmp_path) == []
@@ -174,11 +198,48 @@ def assert_same_capture(capture, fresh) -> None:
     assert capture.tokens == fresh.tokens
     assert capture.model_fingerprint == fresh.model_fingerprint
     assert capture.corpus_fingerprint == fresh.corpus_fingerprint
-    assert capture.entries.keys() == fresh.entries.keys()
-    for site, pair in fresh.entries.items():
-        for got, want in zip(capture.entries[site], pair):
-            assert got.shape == want.shape
-            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), site
+    assert capture.inputs.keys() == fresh.inputs.keys()
+    for site, want in fresh.inputs.items():
+        got = capture.inputs[site]
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), site
+
+
+def acceptance_inputs(fixture: str):
+    """The model and corpus of the criterion-8 (GA) or criterion-9 (sweep)
+    acceptance fixture, drawn as test_acceptance.py draws them."""
+    if fixture == "ga":
+        cfg = tp.TransformerConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, max_seq_len=32)
+        model, rng, size = tp.random_model(cfg, seed=3, spectral_decay=0.6), derive_rng(700), 4000
+    else:
+        cfg = tp.TransformerConfig(n_layers=4, d_model=32, n_heads=4, d_ff=64, max_seq_len=48)
+        model, rng, size = tp.random_model(cfg, seed=1, spectral_decay=0.6), derive_rng(501), 6000
+    letters = sorted(rng.choice(np.arange(1, 256), size=16, replace=False).tolist())
+    return model, bytes(rng.choice(letters, size=size).tolist())
+
+
+@pytest.mark.parametrize("fixture", ["ga", "sweep"])
+def test_dense_outputs_are_the_layer_loops_products(fixture):
+    # a capture stores x alone, and a site forms its outputs as W X over all
+    # the columns at once: those are the bits of the products the layer loop
+    # ran block by block over every whole sequence, and a partial last
+    # sequence, a block of its own, agrees to rounding (these tails differ)
+    model, corpus = acceptance_inputs(fixture)
+    step = model.config.max_seq_len
+    size = len(corpus) - step // 2 - 3      # a partial last sequence of 13 or 21 tokens
+    full = size - size % step
+    width = max(1, calibrate.CAPTURE_BLOCK_TOKENS // step) * step
+    capture = capture_calibration(model, corpus, min_tokens=size)
+    for site, x in capture.inputs.items():
+        w = model.site_weight(site)
+        y = w @ x
+        for lo in range(0, full, width):
+            hi = min(lo + width, full)
+            rows = np.ascontiguousarray(x[:, lo:hi].T).reshape(-1, step, x.shape[0])
+            loop = _rows_product(rows, w).reshape(hi - lo, -1).T
+            assert y[:, lo:hi].tobytes() == np.ascontiguousarray(loop).tobytes(), (site, lo)
+        tail = _rows_product(np.ascontiguousarray(x[:, full:].T)[None], w)[0].T
+        assert tp.frobenius_rel_error(tail, y[:, full:]) <= 1e-15
 
 
 class TestCaptureReuse:
@@ -321,12 +382,12 @@ class TestBuildCache:
         cache = build_cache(tiny_model, tiny_capture, fset, opts, workers=1)
         for site in sites(tiny_model.config):
             w = tiny_model.site_weight(site)
-            x, y = tiny_capture.entries[site]
+            x = tiny_capture.inputs[site]
             d_in, d_out = site_dims(tiny_model.config, site)
             for fi in range(1, len(fset)):
                 rank, _ = rank_for_factor(fset[fi], d_in, d_out)
                 entry_opts = dataclasses.replace(opts, seed=_entry_seed(opts.seed, site, fi))
-                alone = factorize_output_aligned(w, x, y, rank, entry_opts)
+                alone = factorize_output_aligned(w, x, rank, entry_opts)
                 built = cache.entry(site, fi)
                 assert np.array_equal(built.b, alone.b)
                 assert np.array_equal(built.c, alone.c)
@@ -336,7 +397,7 @@ class TestBuildCache:
         # the closed form is the optimum at each rank, so no GD entry beats it;
         # a layer norm leaves X one empty direction at the qkv and ffn1 sites
         for site in sites(tiny_model.config):
-            fit = OutputAlignedSite(tiny_model.site_weight(site), *tiny_capture.entries[site])
+            fit = OutputAlignedSite(tiny_model.site_weight(site), tiny_capture.inputs[site])
             d_in, _ = site_dims(tiny_model.config, site)
             fed_by_norm = site.kind in (SiteKind.QKV, SiteKind.FFN1)
             assert fit.x_root.size == (d_in - 1 if fed_by_norm else d_in)
@@ -395,7 +456,7 @@ class TestAssemble:
 
         site = SiteId(0, SiteKind.OUT)
         w = tiny_model.site_weight(site)
-        fm = OutputAlignedSite(w, *tiny_capture.entries[site]).closed_form(min(w.shape))
+        fm = OutputAlignedSite(w, tiny_capture.inputs[site]).closed_form(min(w.shape))
         pruned = PrunedModel(base=tiny_model, adapters={site: fm})
         tokens = [5, 9, 200, 31]
         a, _ = forward(tiny_model, tokens)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import taskprune as tp
-from taskprune import search
+from taskprune import calibrate, search
 from taskprune.cli import _factorize_opts, build_parser, main
 from taskprune.factorize import OutputAlignedSite
 from taskprune.linalg import derive_rng
@@ -423,6 +423,20 @@ class TestErrorPaths:
         assert code == 3
         assert "prompt 3 holds byte 100 >= vocab_size 64" in capsys.readouterr().err
 
+    def test_corpus_outside_the_vocabulary_exits_3_before_capturing(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        cfg = tp.TransformerConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
+                                   vocab_size=64, max_seq_len=32)
+        tp.save_model(tp.random_model(cfg, seed=52), tmp_path / "small_vocab.siev")
+        (tmp_path / "corpus.bin").write_bytes(b"!" * 40 + b"!d" + b"!" * 30)  # "d" is byte 100
+        monkeypatch.setattr(calibrate, "_transformer", no_decode)
+        code = run(["capture", "--model", tmp_path / "small_vocab.siev",
+                    "--corpus", tmp_path / "corpus.bin", "--tokens", 72,
+                    "--out", tmp_path / "cap.siev"])
+        assert code == 3
+        assert "prompt 1 holds byte 100 >= vocab_size 64" in capsys.readouterr().err
+        assert not (tmp_path / "cap.siev").exists()
+
     @pytest.mark.parametrize("container", ["model", "cache", "capture"])
     def test_vocabulary_beyond_a_byte_exits_3_at_load(
             self, workdir, tmp_path, monkeypatch, capsys, container):
@@ -483,20 +497,20 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("defect", ["short_x", "short_y", "missing_site", "repeated_site"])
+    @pytest.mark.parametrize("defect", ["short_x", "other_model", "missing_site",
+                                        "repeated_site"])
     def test_malformed_capture_exits_3_before_fitting(
             self, workdir, tmp_path, monkeypatch, capsys, defect):
         model = tp.load_model(workdir / "model.siev")
         capture = tp.capture_calibration(model, (workdir / "corpus.bin").read_bytes(),
                                          min_tokens=400)
         last = tp.sites(model.config)[-1]
-        x, y = capture.entries[last]
         if defect == "short_x":
-            capture.entries[last] = (x[:, :100], y)
-        elif defect == "short_y":
-            capture.entries[last] = (x, y[:, :100])
+            capture.inputs[last] = capture.inputs[last][:, :100]
         cap = tmp_path / "cap.siev"
         tp.save_capture(capture, model.config, cap)
+        if defect == "other_model":
+            rewrite_metadata(cap, cap, lambda meta: meta.update(model_fingerprint="0" * 64))
         if defect == "missing_site":
             # save_capture refuses such a capture, so the container of the
             # whole one is written again without its last site
@@ -516,8 +530,8 @@ class TestErrorPaths:
         assert code == 3
         assert fits == []
         assert {
-            "short_x": "layer1.ffn2 has x (32, 100) and y (16, 400), expected (32, 400)",
-            "short_y": "layer1.ffn2 has x (32, 400) and y (16, 100), expected (32, 400)",
+            "short_x": "tensor 's7.x' has shape (32, 100), expected (32, 400)",
+            "other_model": "capture was recorded from a different model",
             "missing_site": "capture manifest does not cover every site",
             "repeated_site": "capture manifest lists layer1.ffn1 twice",
         }[defect] in capsys.readouterr().err

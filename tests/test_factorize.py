@@ -86,16 +86,12 @@ class TestRankForFactor:
         assert af2 == af
 
 
-def site_of(w, x, y=None):
-    return OutputAlignedSite(w, x, w @ x if y is None else y)
-
-
 class TestSvdW:
     def test_weight_space_error_is_eckart_young(self):
-        # x = I and y = W make the calibration error the weight-space error
+        # x = I makes the outputs W and the calibration error the weight-space error
         rng = derive_rng(40)
         w = rng.normal(size=(10, 6))
-        fm = OutputAlignedSite(w, np.eye(6), w).svd_w(3)
+        fm = OutputAlignedSite(w, np.eye(6)).svd_w(3)
         s = np.linalg.svd(w, compute_uv=False)
         expected = math.sqrt(np.sum(s[3:] ** 2) / np.sum(s ** 2))
         assert fm.calib_error == pytest.approx(expected, rel=1e-9)
@@ -105,28 +101,28 @@ class TestSvdW:
 
     def test_calibration_error_when_pair_supplied(self):
         w, x, y = misaligned_instance(41)
-        fm = site_of(w, x, y).svd_w(4)
+        fm = OutputAlignedSite(w, x).svd_w(4)
         assert fm.calib_error == pytest.approx(pair_error(fm.b, fm.c, x, y))
 
     def test_is_the_fit_init(self):
         # a learning rate below every ulp leaves fit at its initial iterate
         w, x, y = misaligned_instance(41)
-        site = site_of(w, x, y)
+        site = OutputAlignedSite(w, x)
         init = site.fit(4, FactorizeOptions(epochs=1, learning_rate=1e-300))
         fm = site.svd_w(4)
         assert np.array_equal(fm.b, init.b) and np.array_equal(fm.c, init.c)
-        assert factorize_svd_w(w, 4, x, y).calib_error == fm.calib_error
+        assert factorize_svd_w(w, 4, x).calib_error == fm.calib_error
 
     def test_achieved_factor_exact(self):
         rng = derive_rng(42)
-        fm = site_of(rng.normal(size=(12, 8)), rng.normal(size=(8, 20))).svd_w(2)
+        fm = OutputAlignedSite(rng.normal(size=(12, 8)), rng.normal(size=(8, 20))).svd_w(2)
         assert fm.achieved_factor == 2 * (12 + 8) / (12 * 8)
 
 
 class TestPcaX:
     def test_orthonormal_projection_rows(self):
         w, x, y = misaligned_instance(43)
-        fm = site_of(w, x, y).pca_x(4)
+        fm = OutputAlignedSite(w, x).pca_x(4)
         np.testing.assert_allclose(fm.c @ fm.c.T, np.eye(4), atol=1e-9)
         assert fm.method is Method.PCA_X
 
@@ -135,19 +131,19 @@ class TestPcaX:
         w = rng.normal(size=(8, 8))
         x = np.tile(rng.normal(size=(8, 1)), (1, 20))  # rank 1 inputs
         with pytest.raises(RankDeficiencyError):
-            site_of(w, x).pca_x(3)
+            OutputAlignedSite(w, x).pca_x(3)
 
     def test_too_few_columns(self):
         rng = derive_rng(45)
         with pytest.raises(ValueError):
-            site_of(rng.normal(size=(8, 8)), rng.normal(size=(8, 2))).pca_x(3)
+            OutputAlignedSite(rng.normal(size=(8, 8)), rng.normal(size=(8, 2))).pca_x(3)
 
     def test_recovers_exact_low_rank_inputs(self):
         rng = derive_rng(46)
         w = rng.normal(size=(8, 8))
         basis = np.linalg.qr(rng.normal(size=(8, 3)))[0]
         x = basis @ rng.normal(size=(3, 50))
-        fm = site_of(w, x).pca_x(3)
+        fm = OutputAlignedSite(w, x).pca_x(3)
         assert fm.calib_error < 1e-9
 
 
@@ -156,7 +152,7 @@ class TestRrrOracle:
         rng = derive_rng(47)
         w = rng.normal(size=(8, 8))
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        site = site_of(w, q)
+        site = OutputAlignedSite(w, q)
         assert site.closed_form(3).calib_error == pytest.approx(site.svd_w(3).calib_error,
                                                                 abs=1e-9)
 
@@ -165,37 +161,34 @@ class TestRrrOracle:
         w = rng.normal(size=(10, 8))
         basis = np.linalg.qr(rng.normal(size=(8, 4)))[0]
         x = basis @ rng.normal(size=(4, 64))
-        fm = site_of(w, x).closed_form(4)
+        fm = OutputAlignedSite(w, x).closed_form(4)
         assert fm.calib_error < 1e-9
         assert fm.method is Method.RRR_ORACLE
 
     def test_dominates_svd_and_pca(self):
         for seed in range(8):
-            site = site_of(*misaligned_instance(seed + 100))
+            site = OutputAlignedSite(*misaligned_instance(seed + 100)[:2])
             rrr = site.closed_form(4)
             assert rrr.calib_error < site.svd_w(4).calib_error
             assert rrr.calib_error < site.pca_x(4).calib_error
 
     def test_all_zero_inputs_rejected(self):
-        # outputs off W X, since zero outputs are rejected before any method
-        site = OutputAlignedSite(np.eye(4), np.zeros((4, 10)), np.ones((4, 10)))
-        with pytest.raises(RankDeficiencyError):
-            site.closed_form(2)
-        with pytest.raises(RankDeficiencyError):
-            site.pca_x(2)
+        # all-zero inputs make the outputs W X zero, so no method is reached
+        with pytest.raises(DegenerateSiteError, match="zero norm"):
+            OutputAlignedSite(np.eye(4), np.zeros((4, 10)))
 
     def test_rank_deficient_inputs_use_pseudo_inverse(self):
         rng = derive_rng(49)
         w = rng.normal(size=(6, 6))
         basis = np.linalg.qr(rng.normal(size=(6, 2)))[0]
         x = basis @ rng.normal(size=(2, 30))
-        fm = site_of(w, x).closed_form(4)  # asks for more rank than x carries
+        fm = OutputAlignedSite(w, x).closed_form(4)  # asks for more rank than x carries
         assert fm.rank == 2
         assert fm.calib_error < 1e-9
         assert np.all(np.isfinite(fm.b)) and np.all(np.isfinite(fm.c))
 
     def test_rank_out_of_range_rejected(self):
-        site = site_of(*misaligned_instance(432)[:2])
+        site = OutputAlignedSite(*misaligned_instance(432)[:2])
         for method in (site.svd_w, site.pca_x, site.closed_form):
             for rank in (0, 17):
                 with pytest.raises(ValueError, match="out of range"):
@@ -209,20 +202,20 @@ class TestOutputAlignedGd:
         rng = derive_rng(50)
         w = rng.normal(size=(8, 8))
         x = rng.normal(size=(8, 80))
-        fm = factorize_output_aligned(w, x, w @ x, 8, self.OPTS)
+        fm = factorize_output_aligned(w, x, 8, self.OPTS)
         assert fm.calib_error <= 1e-6
 
     def test_never_worse_than_svd_init(self):
         for seed in range(5):
             w, x, y = misaligned_instance(seed + 200)
-            init = factorize_svd_w(w, 4, x, y)
-            fm = factorize_output_aligned(w, x, y, 4, self.OPTS)
+            init = factorize_svd_w(w, 4, x)
+            fm = factorize_output_aligned(w, x, 4, self.OPTS)
             assert fm.calib_error <= init.calib_error + 1e-15
 
     def test_close_to_oracle(self):
         w, x, y = misaligned_instance(51)
-        rrr = site_of(w, x, y).closed_form(4)
-        fm = factorize_output_aligned(w, x, y, 4, self.OPTS)
+        rrr = OutputAlignedSite(w, x).closed_form(4)
+        fm = factorize_output_aligned(w, x, 4, self.OPTS)
         assert fm.calib_error <= rrr.calib_error * 1.05
 
     def test_default_options(self):
@@ -240,7 +233,7 @@ class TestOutputAlignedGd:
     def test_best_so_far_non_increasing(self):
         w, x, y = misaligned_instance(52)
         trace: list[float] = []
-        factorize_output_aligned(w, x, y, 4,
+        factorize_output_aligned(w, x, 4,
                                  FactorizeOptions(epochs=40, batch_tokens=32, seed=1),
                                  _trace=trace)
         assert len(trace) > 10
@@ -249,18 +242,18 @@ class TestOutputAlignedGd:
     def test_deterministic_given_seed(self):
         w, x, y = misaligned_instance(53)
         opts = FactorizeOptions(epochs=30, batch_tokens=32, seed=9)
-        a = factorize_output_aligned(w, x, y, 4, opts)
-        b = factorize_output_aligned(w, x, y, 4, opts)
+        a = factorize_output_aligned(w, x, 4, opts)
+        b = factorize_output_aligned(w, x, 4, opts)
         assert np.array_equal(a.b, b.b)
         assert np.array_equal(a.c, b.c)
         assert a.calib_error == b.calib_error
 
     def test_divergence_signalled_with_best_iterate(self):
         w, x, y = misaligned_instance(54)
-        init = factorize_svd_w(w, 4, x, y)
+        init = factorize_svd_w(w, 4, x)
         bad = FactorizeOptions(epochs=3, batch_tokens=64, learning_rate=1e160, seed=0)
         with pytest.raises(FactorizationDiverged) as exc:
-            factorize_output_aligned(w, x, y, 4, bad)
+            factorize_output_aligned(w, x, 4, bad)
         best = exc.value.best
         assert best.calib_error == pytest.approx(init.calib_error)
         assert np.all(np.isfinite(best.b))
@@ -268,12 +261,9 @@ class TestOutputAlignedGd:
     def test_shape_validation(self):
         rng = derive_rng(55)
         w = rng.normal(size=(6, 4))
-        with pytest.raises(ValueError):
-            factorize_output_aligned(w, rng.normal(size=(4, 10)),
-                                     rng.normal(size=(6, 9)), 2)
-        with pytest.raises(ValueError):
-            factorize_output_aligned(w, rng.normal(size=(5, 10)),
-                                     rng.normal(size=(6, 10)), 2)
+        for x in (rng.normal(size=(5, 10)), rng.normal(size=(10, 4)), rng.normal(size=4)):
+            with pytest.raises(ValueError, match="do not match the weight shape"):
+                factorize_output_aligned(w, x, 2)
 
 
 def unpacked_fit(site, rank, opts, trace):
@@ -308,12 +298,13 @@ def unpacked_fit(site, rank, opts, trace):
     return site._result(*best, rank)
 
 
-def noisy_site(d_out, d_in, n_tokens, seed):
+def decaying_site(d_out, d_in, n_tokens, seed):
+    """A site whose input directions decay geometrically, so that a
+    truncated SVD of W is a poor start and the descent moves."""
     rng = derive_rng(seed)
     w = rng.normal(size=(d_out, d_in))
     x = (0.8 ** np.arange(d_in))[:, None] * rng.normal(size=(d_in, n_tokens))
-    y = w @ x + 0.05 * rng.normal(size=(d_out, n_tokens))
-    return OutputAlignedSite(w, x, y)
+    return OutputAlignedSite(w, x)
 
 
 class TestPackedStep:
@@ -321,7 +312,7 @@ class TestPackedStep:
 
     @pytest.mark.parametrize("d_out, d_in", [(96, 32), (32, 64), (64, 32)])
     def test_bit_identical_to_one_adam_state_per_factor(self, d_out, d_in):
-        site = noisy_site(d_out, d_in, self.N_TOKENS, seed=d_out + d_in)
+        site = decaying_site(d_out, d_in, self.N_TOKENS, seed=d_out + d_in)
         for rank in (1, 7, min(d_out, d_in) - 1):
             # batches dividing T, not dividing it, and larger than T
             for batch in (60, 70, 500):
@@ -340,7 +331,7 @@ class TestPackedStep:
     @pytest.mark.parametrize("block", ["b", "c"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_factor_diverges_with_the_earlier_best(self, monkeypatch, block, bad):
-        site = noisy_site(32, 16, self.N_TOKENS, seed=5)
+        site = decaying_site(32, 16, self.N_TOKENS, seed=5)
         opts = FactorizeOptions(epochs=3, batch_tokens=60, learning_rate=0.01, seed=2)
         poisoned_step = 6
         calls = []
@@ -362,7 +353,7 @@ class TestPackedStep:
             assert len(calls) == poisoned_step
             bests.append(exc.value.best)
         want, got = bests
-        init = factorize_svd_w(site.w, 4, site.x_cal, site.y_cal)
+        init = factorize_svd_w(site.w, 4, site.x_cal)
         assert want.calib_error < init.calib_error  # the best moved before the poisoned step
         assert np.array_equal(got.b, want.b)
         assert np.array_equal(got.c, want.c)
@@ -371,10 +362,10 @@ class TestPackedStep:
 
 class TestOutputAlignedSite:
     @staticmethod
-    def assert_statistic_matches(w, x, y, rank, seed):
-        site = OutputAlignedSite(w, x, y)
+    def assert_statistic_matches(w, x, rank, seed):
+        site, y = OutputAlignedSite(w, x), w @ x
         rng = derive_rng(seed)
-        init = factorize_svd_w(w, rank, x, y)
+        init = factorize_svd_w(w, rank, x)
         pairs = [(init.b, init.c)]
         for scale in (1e-3, 1e-1, 1.0):
             pairs.append((init.b + scale * rng.normal(size=init.b.shape),
@@ -385,50 +376,35 @@ class TestOutputAlignedSite:
 
     def test_statistic_matches_pair_error_on_exact_outputs(self):
         for seed in range(5):
-            w, x, y = misaligned_instance(seed + 400)
-            self.assert_statistic_matches(w, x, y, 4, seed)
-
-    def test_statistic_matches_pair_error_with_output_noise(self):
-        for seed in range(5):
-            w, x, _ = misaligned_instance(seed + 410)
-            y = w @ x + 0.3 * derive_rng(seed + 420).normal(size=(w.shape[0], x.shape[1]))
-            self.assert_statistic_matches(w, x, y, 4, seed)
+            w, x, _ = misaligned_instance(seed + 400)
+            self.assert_statistic_matches(w, x, 4, seed)
 
     def test_statistic_matches_pair_error_on_singular_gram(self, tiny_model, tiny_capture):
         site = SiteId(0, SiteKind.QKV)     # fed by a layer norm: X X^T is singular
         w = tiny_model.site_weight(site)
-        x, y = tiny_capture.entries[site]
+        x = tiny_capture.inputs[site]
         eig = np.linalg.eigvalsh(x @ x.T)
         assert eig[0] <= 1e-10 * eig[-1]
-        self.assert_statistic_matches(w, x, y, 5, 0)
+        self.assert_statistic_matches(w, x, 5, 0)
 
     def test_fit_matches_factorize_output_aligned_at_every_rank(self):
         w, x, y = misaligned_instance(430)
-        site = OutputAlignedSite(w, x, y)
+        site = OutputAlignedSite(w, x)
         opts = FactorizeOptions(epochs=10, batch_tokens=32, seed=4)
         for rank in (1, 4, 9):
             a = site.fit(rank, opts)
-            b = factorize_output_aligned(w, x, y, rank, opts)
+            b = factorize_output_aligned(w, x, rank, opts)
             assert np.array_equal(a.b, b.b) and np.array_equal(a.c, b.c)
             assert a.calib_error == b.calib_error == pair_error(a.b, a.c, x, y)
-
-    def test_residual_statistics_keep_their_bits(self):
-        # on the fixtures R0 = Y - W X is about 0, so take outputs off W X
-        w, x, _ = misaligned_instance(433)
-        y = w @ x + 0.3 * derive_rng(434).normal(size=(w.shape[0], x.shape[1]))
-        site = OutputAlignedSite(w, x, y)
-        r0 = y - w @ x
-        assert site.r0_sq == float(np.sum(r0 * r0)) > 0.0
-        assert site.r0_xt.tobytes() == (r0 @ x.T).tobytes()
 
     def test_zero_norm_outputs_rejected(self):
         w, x, _ = misaligned_instance(431)
         with pytest.raises(DegenerateSiteError, match="zero norm"):
-            OutputAlignedSite(w, x, np.zeros((w.shape[0], x.shape[1])))
+            OutputAlignedSite(np.zeros_like(w), x)
 
     def test_rank_out_of_range_rejected(self):
         w, x, y = misaligned_instance(432)
-        site = OutputAlignedSite(w, x, y)
+        site = OutputAlignedSite(w, x)
         for rank in (0, 17):
             with pytest.raises(ValueError):
                 site.fit(rank)
@@ -471,7 +447,7 @@ class TestAnisotropySeparation:
         for seed in (300, 301, 302):
             w, x, y = misaligned_instance(seed, decay=0.5)
             rank = 4
-            site = site_of(w, x, y)
+            site = OutputAlignedSite(w, x)
             svd, pca, rrr = site.svd_w(rank), site.pca_x(rank), site.closed_form(rank)
             gd = site.fit(rank, TestOutputAlignedGd.OPTS)
             assert rrr.calib_error < svd.calib_error
@@ -483,7 +459,7 @@ class TestAnisotropySeparation:
 
 
 def test_achieved_factor_formula_exact_for_every_method():
-    site = site_of(*misaligned_instance(57, d_out=12, d_in=10))
+    site = OutputAlignedSite(*misaligned_instance(57, d_out=12, d_in=10)[:2])
     for fm in (
         site.svd_w(3),
         site.pca_x(3),

@@ -19,7 +19,7 @@ import taskprune.model as model_module
 from taskprune import calibrate, cli
 from taskprune.calibrate import PruningVector, assemble, cache_to_bytes
 from taskprune.cli import RunRecord
-from taskprune.linalg import derive_rng, frobenius_rel_error
+from taskprune.linalg import derive_rng
 from taskprune.model import (
     LN_EPS,
     STOP_BYTE,
@@ -160,11 +160,10 @@ class TestForward:
         tokens = rng.integers(0, 256, size=12).tolist()
         tap_set = frozenset(sites(tiny_model.config))
         _, cap = forward(tiny_model, tokens, taps=tap_set)
-        assert set(cap.entries) == set(tap_set)
-        for site, (x, y) in cap.entries.items():
-            w = tiny_model.site_weight(site)
-            assert x.shape[1] == len(tokens)
-            assert frobenius_rel_error(y, w @ x) <= 1e-12
+        assert set(cap.inputs) == set(tap_set)
+        for site, x in cap.inputs.items():
+            assert x.shape == (site_dims(tiny_model.config, site)[0], len(tokens))
+            assert cap.weights[site] is tiny_model.site_weight(site)
 
     def test_products_depend_only_on_the_rows(self, tiny_model, tiny_cache):
         # numpy runs a stacked matmul as one product per batch row, whose bits
@@ -249,9 +248,10 @@ class TestAttention:
         tokens = rng.integers(0, 256, size=6).tolist()
         tap_set = frozenset({SiteId(0, SiteKind.QKV), SiteId(0, SiteKind.OUT)})
         _, cap = forward(tiny_model, tokens, taps=tap_set)
-        qkv = cap.entries[SiteId(0, SiteKind.QKV)][1].T
+        qkv = (tiny_model.layers[0].w_qkv @ cap.inputs[SiteId(0, SiteKind.QKV)]).T
         out = _attention(qkv[None], tiny_model.config.n_heads)[0] @ tiny_model.layers[0].w_out.T
-        np.testing.assert_allclose(out, cap.entries[SiteId(0, SiteKind.OUT)][1].T, atol=1e-12)
+        want = (tiny_model.layers[0].w_out @ cap.inputs[SiteId(0, SiteKind.OUT)]).T
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 class TestFfn:
@@ -278,7 +278,7 @@ class TestFfn:
         m.layers[0].b_ffn1[:] = 0.0
         tokens = [3, 40, 7]
         logits, cap = forward(m, tokens, taps={SiteId(0, SiteKind.FFN2)})
-        assert np.all(cap.entries[SiteId(0, SiteKind.FFN2)][0] == 0.0)
+        assert np.all(cap.inputs[SiteId(0, SiteKind.FFN2)] == 0.0)
         expected = self.logits_after_residual_update(m, tokens, m.layers[0].b_ffn2)
         np.testing.assert_allclose(logits, expected, atol=1e-12)
 
@@ -295,8 +295,8 @@ class TestFfn:
         layer = m.layers[0]
         taps = {SiteId(0, SiteKind.FFN1), SiteId(0, SiteKind.FFN2)}
         _, cap = forward(m, [11, 22, 33], taps=taps)
-        x = cap.entries[SiteId(0, SiteKind.FFN1)][0].T
-        y = cap.entries[SiteId(0, SiteKind.FFN2)][1].T
+        x = cap.inputs[SiteId(0, SiteKind.FFN1)].T
+        y = (layer.w_ffn2 @ cap.inputs[SiteId(0, SiteKind.FFN2)]).T
         w1, b1, w2 = layer.w_ffn1, layer.b_ffn1, layer.w_ffn2
         for i in range(3):
             z = [sum(w1[r, c] * x[i, c] for c in range(4)) + b1[r] for r in range(6)]
@@ -852,7 +852,8 @@ def test_a_million_claimed_layers_are_rejected_before_any_per_layer_work(
     for module in (model_module, calibrate):
         monkeypatch.setattr(module, "sites", refuse(real_sites))
         monkeypatch.setattr(module, "model_shapes", refuse(real_shapes))
-    loader = {"model": tp.load_model, "cache": tp.load_cache, "capture": tp.load_capture}[kind]
+    loader = {"model": tp.load_model, "cache": tp.load_cache,
+              "capture": lambda p: tp.load_capture(p, tiny_model)}[kind]
     with pytest.raises(FormatError):
         loader(path)
 

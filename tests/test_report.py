@@ -199,10 +199,8 @@ class TestCalibrationSweep:
             # compared now: the views are valid only until the next call
             fresh = real_capture(model, tiny_corpus, min_tokens)
             assert capture.corpus_fingerprint == fresh.corpus_fingerprint
-            for site, (x, y) in fresh.entries.items():
-                got_x, got_y = capture.entries[site]
-                assert np.ascontiguousarray(got_x).tobytes() == x.tobytes()
-                assert np.ascontiguousarray(got_y).tobytes() == y.tobytes()
+            for site, x in fresh.inputs.items():
+                assert np.ascontiguousarray(capture.inputs[site]).tobytes() == x.tobytes()
             fresh_fps.append(real_build(model, fresh, FactorSet((1.0, 0.5)), opts,
                                         workers=1).fingerprint())
             return capture
@@ -234,6 +232,22 @@ class TestCalibrationSweep:
         # the 93 whole sequences of the first 3000 tokens, and the partial
         # last sequences of 1000, 2999 and 3000 tokens
         assert sum(rows) == 93 + 3
+
+    def test_corpus_is_checked_once(self, tiny_model, tiny_corpus, tiny_task, monkeypatch):
+        checked = []
+        real = calibrate.check_prompts
+
+        def counting(config, prompts, max_new):
+            prompts = list(prompts)
+            checked.append(len(prompts))
+            return real(config, prompts, max_new)
+
+        monkeypatch.setattr(calibrate, "check_prompts", counting)
+        opts = FactorizeOptions(epochs=1, batch_tokens=500, learning_rate=0.003, seed=0)
+        calibration_sweep(tiny_model, tiny_corpus, [1000, 2999, 640], tiny_task,
+                          level=0.5, opts=opts, workers=1)
+        # one check of the 94 sequences of the first 2999 tokens
+        assert checked == [94]
 
     @pytest.mark.parametrize("level, sizes", [
         (1.0, [500]),           # a factor set (1.0, 1.0) is not descending
