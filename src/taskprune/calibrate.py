@@ -34,6 +34,7 @@ from .model import (
     CACHE_VERSION,
     CAPTURE_VERSION,
     KIND_ORDER,
+    STOP_BYTE,
     ActivationCapture,
     FormatError,
     ModelWeights,
@@ -59,13 +60,13 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LEVELS = (1.0, 0.9, 0.75, 0.6, 0.5, 0.35, 0.25, 0.2, 0.1, 0.05)
 # Tokens per block of a capture's layer loop, rounded down to whole
-# sequences: small enough that a block's inputs are still in cache when they
-# are copied into the capture, large enough that the per-block overhead is
-# small. Capturing 12k, 24k and 48k tokens of the 4-layer calib-scale
-# benchmark model (48-token sequences) afresh, 84k tokens in all, took
-# 3.1-3.4 s with blocks of 4 to 64 sequences, and over 5 s with 1 sequence
-# or with 1000 per block. The calibration sweep now runs those 48k tokens
-# once, through a `reuse` dict.
+# sequences (a short last one runs padded): small enough that a block's
+# inputs are still in cache when they are copied into the capture, large
+# enough that the per-block overhead is small. Capturing 12k, 24k and 48k
+# tokens of the 4-layer calib-scale benchmark model (48-token sequences)
+# afresh, 84k tokens in all, took 3.1-3.4 s with blocks of 4 to 64
+# sequences, and over 5 s with 1 sequence or with 1000 per block. The
+# calibration sweep now runs those 48k tokens once, through a `reuse` dict.
 CAPTURE_BLOCK_TOKENS = 1024
 
 
@@ -149,6 +150,12 @@ def check_calibration_size(available: int, min_tokens: int) -> None:
         raise CorpusTooSmallError(f"corpus supplies {available} tokens, {min_tokens} required")
 
 
+def check_workers(workers: int | None) -> None:
+    """Reject a worker count below 1; None means one worker per CPU."""
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def capture_calibration(
     model: ModelWeights,
     corpus: bytes | Sequence[int],
@@ -156,24 +163,23 @@ def capture_calibration(
     reuse: dict | None = None,
 ) -> ActivationCapture:
     """Run the first min_tokens corpus tokens through the model with every
-    site tapped; inputs are chunked into max_seq_len sequences.
+    site tapped, as max_seq_len sequences; a short last sequence is padded
+    with STOP_BYTE, which causal attention hides from the tokens before it.
+    Batch rows never mix, so a capture of n tokens is, bit for bit, the
+    first n columns of any longer capture of the same corpus.
 
     Each site's input x (its outputs are W x) is allocated once, at its full
     width. The sequences run through the layer loop in blocks of about
-    CAPTURE_BLOCK_TOKENS tokens (at least one sequence each; the trailing
-    partial sequence is a block of its own), and each block's inputs are
-    copied into their columns, so the columns stay in corpus order. Batch
-    rows never mix, so x has the bits of one pass per sequence.
+    CAPTURE_BLOCK_TOKENS tokens (at least one sequence each), and each
+    block's inputs are copied into their columns, in corpus order.
 
     `reuse`, a dict that the caller owns, keeps those buffers from one call
     to the next: they are as wide as all the corpus tokens passed in, and
     are kept while the model and those tokens are the same (a new model or
     corpus allocates new ones and checks the corpus as prompts). A call then
-    runs only the whole sequences that no earlier call ran, and returns the
-    column prefixes of the buffers, which stay valid until the next call
-    with the same dict. A trailing partial sequence is always run again at
-    its own length: its bits differ from those of the same columns in a
-    whole sequence.
+    runs only the sequences that no earlier call ran, through the one
+    holding its last token, and returns column-prefix views of the buffers.
+    Columns are written once, so the views stay valid.
     """
     tokens = tokenize(corpus) if isinstance(corpus, (bytes, str)) else list(corpus)
     check_calibration_size(len(tokens), min_tokens)
@@ -190,25 +196,18 @@ def capture_calibration(
             site: np.empty((site_dims(model.config, site)[0], len(tokens)))
             for site in sites(model.config)})
     inputs: dict[SiteId, Matrix] = reuse["inputs"]
-    # put back the columns of a whole sequence that the last call's tail overwrote
-    cols, saved = reuse.pop("overwritten", (slice(0), {}))
-    for site, x in saved.items():
-        inputs[site][:, cols] = x
-
+    held, end = reuse["held"], min(-(-min_tokens // step) * step, len(tokens))
     width = max(1, CAPTURE_BLOCK_TOKENS // step) * step
-    held, full = reuse["held"], min_tokens - min_tokens % step
-    blocks = [(lo, min(lo + width, full)) for lo in range(held, full, width)]
-    if full < min_tokens:
-        blocks.append((full, min_tokens))
-        if full < held:
-            cols = slice(full, min_tokens)
-            reuse["overwritten"] = (cols, {site: x[:, cols].copy() for site, x in inputs.items()})
     tap_set = frozenset(inputs)
-    for lo, hi in blocks:
-        _, taps = _transformer(model, ids[lo:hi].reshape(-1, min(step, hi - lo)), tap_set)
+    for lo in range(held, end, width):
+        hi = min(lo + width, end)
+        block = ids[lo:hi]
+        if (hi - lo) % step:
+            block = np.pad(block, (0, -(hi - lo) % step), constant_values=STOP_BYTE)
+        _, taps = _transformer(model, block.reshape(-1, step), tap_set)
         for site, x in taps.items():
-            inputs[site][:, lo:hi] = x.reshape(-1, x.shape[-1]).T
-    reuse["held"] = max(held, full)
+            inputs[site][:, lo:hi] = x.reshape(-1, x.shape[-1])[:hi - lo].T
+    reuse["held"] = max(held, end)
     return ActivationCapture(
         inputs={site: x[:, :min_tokens] for site, x in inputs.items()},
         weights={site: model.site_weight(site) for site in inputs},
@@ -279,6 +278,7 @@ def build_cache(
     scheduling. A diverged entry is flagged and kept dense; a site whose
     calibration outputs are all zero has every level flagged and kept dense.
     """
+    check_workers(workers)
     opts = opts or FactorizeOptions()
     model_fp = model_fingerprint(model)
     if capture.model_fingerprint and capture.model_fingerprint != model_fp:
@@ -391,13 +391,9 @@ def _site_params(config: TransformerConfig, levels: Sequence[float] | None) -> i
     return total
 
 
-def retained_site_params(vector: PruningVector, config: TransformerConfig) -> int:
-    return _site_params(config, vector.levels())
-
-
 def compression_ratio(vector: PruningVector, config: TransformerConfig) -> float:
     """Fraction of prunable parameters removed (higher = more compressed)."""
-    return 1.0 - retained_site_params(vector, config) / _site_params(config, None)
+    return 1.0 - _site_params(config, vector.levels()) / _site_params(config, None)
 
 
 def count_params(config: TransformerConfig) -> int:

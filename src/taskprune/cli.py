@@ -19,6 +19,7 @@ from .calibrate import (
     assemble,
     build_cache,
     capture_calibration,
+    check_workers,
     compression_ratio,
     load_cache,
     load_capture,
@@ -97,6 +98,7 @@ class RunRecord:
 
 
 def _factorize_opts(args) -> FactorizeOptions:
+    check_workers(args.workers)
     return FactorizeOptions(
         epochs=args.epochs,
         batch_tokens=args.batch,

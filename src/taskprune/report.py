@@ -21,6 +21,7 @@ from .calibrate import (
     build_cache,
     capture_calibration,
     check_calibration_size,
+    check_workers,
     compression_ratio,
     count_params,
     estimate_flops_per_token,
@@ -113,18 +114,18 @@ def calibration_sweep(
 
     Captures each size, builds its cache (only at `level`) and evaluates.
     The captures share one `reuse` dict over the first max(sizes) corpus
-    tokens, so each whole sequence runs through the model once, whatever
-    the order of the sizes, and a size's capture is a column prefix of
-    those buffers; only a size's trailing partial sequence runs again. A
-    size's capture is dropped before the next size is captured, so only one
-    capture is held at a time. The level and every size are checked, and
-    the task is resolved against the unpruned model once, before the first
-    size.
+    tokens, so each sequence runs through the model once, whatever the
+    order of the sizes, and a size's capture is a column prefix of those
+    buffers. A size's capture is dropped before the next size is captured,
+    so only one capture is held at a time. The level, every size and
+    `workers` are checked, and the task is resolved against the unpruned
+    model once, before the first size.
     """
     factor_set = FactorSet((1.0, level))
     tokens = tokenize(corpus)
     for size in sizes:
         check_calibration_size(len(tokens), size)
+    check_workers(workers)
     tokens = tokens[:max(sizes, default=0)]
     task = exact_match_task(model, task)
     reuse: dict = {}
@@ -135,9 +136,7 @@ def calibration_sweep(
         ev = make_eval_fn(model, cache, task)
         vec = PruningVector.uniform(cache.factor_set, len(sites(model.config)), 1)
         points.append((size, ev(vec).accuracy))
-        # dropped here, not at the next assignment, which comes after the
-        # next capture call: its views are valid only until that call
-        del capture
+        del capture     # not at the next assignment, which comes after the next capture
     return points
 
 

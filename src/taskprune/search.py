@@ -316,8 +316,10 @@ class GaConfig:
     max_generations: int | None = None     # None: stop on stall alone
 
     def __post_init__(self) -> None:
-        if self.n_uniform_seeds > self.population:
-            raise ValueError("n_uniform_seeds must be <= population")
+        if self.population < 1:
+            raise ValueError("population must be >= 1")
+        if not 0 <= self.n_uniform_seeds <= self.population:
+            raise ValueError("n_uniform_seeds must lie in [0, population]")
         for name in ("crossover_prob", "mutation_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")

@@ -24,9 +24,9 @@ from taskprune.calibrate import (
     _entry_seed,
     capture_calibration,
     compression_ratio,
+    estimate_flops_per_token,
     load_cache,
     load_capture,
-    retained_site_params,
     save_cache,
     save_capture,
 )
@@ -110,17 +110,18 @@ class TestCapture:
 
     def test_batched_capture_equals_per_chunk_forward(self, tiny_model, tiny_corpus, tiny_capture,
                                                       monkeypatch):
-        # 2500 tokens: 78 full chunks of 32, run in blocks of whole chunks,
-        # and a 4-token tail run as a block of its own. Blocks of 1024
+        # 2500 tokens: 78 whole chunks of 32 and a 4-token tail, padded to
+        # a whole chunk, run in blocks of whole chunks. Blocks of 1024
         # tokens (the default) hold 32 chunks, of 100 tokens 3 and of 1
-        # token 1, as a block holds at least one chunk.
+        # token 1, as a block holds at least one chunk. The tail's columns
+        # are the first 4 of the whole 32-token chunk of the corpus.
         step = tiny_model.config.max_seq_len
-        tokens = list(tiny_corpus[:2500])
+        tokens = list(tiny_corpus)
         taps = frozenset(sites(tiny_model.config))
-        caps = [forward(tiny_model, tokens[i:i + step], taps=taps)[1]
-                for i in range(0, len(tokens), step)]
-        assert len(caps) == 79 and caps[-1].tokens == 4
-        refs = {site: np.concatenate([c.inputs[site] for c in caps], axis=1) for site in taps}
+        caps = [forward(tiny_model, tokens[i:i + step], taps=taps)[1] for i in range(0, 2500, step)]
+        assert len(caps) == 79 and caps[-1].tokens == step
+        refs = {site: np.concatenate([c.inputs[site] for c in caps], axis=1)[:, :2500]
+                for site in taps}
         captures = [tiny_capture]
         for block_tokens in (1, 100):
             monkeypatch.setattr(calibrate, "CAPTURE_BLOCK_TOKENS", block_tokens)
@@ -222,14 +223,17 @@ def acceptance_inputs(fixture: str):
 def test_dense_outputs_are_the_layer_loops_products(fixture):
     # a capture stores x alone, and a site forms its outputs as W X over all
     # the columns at once: those are the bits of the products the layer loop
-    # ran block by block over every whole sequence, and a partial last
-    # sequence, a block of its own, agrees to rounding (these tails differ)
+    # ran block by block over every whole sequence. The partial last
+    # sequence ran padded to a whole one, and its products are those of the
+    # same columns of the corpus's whole sequence; W X forms its last
+    # columns in BLAS's remainder kernel, so those agree to rounding
     model, corpus = acceptance_inputs(fixture)
     step = model.config.max_seq_len
     size = len(corpus) - step // 2 - 3      # a partial last sequence of 13 or 21 tokens
     full = size - size % step
     width = max(1, calibrate.CAPTURE_BLOCK_TOKENS // step) * step
     capture = capture_calibration(model, corpus, min_tokens=size)
+    whole = capture_calibration(model, corpus, min_tokens=full + step)
     for site, x in capture.inputs.items():
         w = model.site_weight(site)
         y = w @ x
@@ -238,8 +242,10 @@ def test_dense_outputs_are_the_layer_loops_products(fixture):
             rows = np.ascontiguousarray(x[:, lo:hi].T).reshape(-1, step, x.shape[0])
             loop = _rows_product(rows, w).reshape(hi - lo, -1).T
             assert y[:, lo:hi].tobytes() == np.ascontiguousarray(loop).tobytes(), (site, lo)
-        tail = _rows_product(np.ascontiguousarray(x[:, full:].T)[None], w)[0].T
-        assert tp.frobenius_rel_error(tail, y[:, full:]) <= 1e-15
+        tail = _rows_product(np.ascontiguousarray(x[:, full:].T)[None], w)[0]
+        seq = _rows_product(np.ascontiguousarray(whole.inputs[site][:, full:].T)[None], w)[0]
+        assert tail.tobytes() == seq[:size - full].tobytes(), site
+        assert tp.frobenius_rel_error(tail.T, y[:, full:]) <= 1e-15
 
 
 class TestCaptureReuse:
@@ -260,11 +266,9 @@ class TestCaptureReuse:
     @pytest.mark.parametrize("sizes, rows", [
         ([640, 1280, 2560], 80),
         ([2560, 1280, 640], 80),
-        # 93 whole sequences, and the tails of 1000, 2999 and 3000 once each
-        ([1000, 2999, 640, 3000], 96),
-        # the tails of 1000 and 40 overwrite columns of whole sequences,
-        # which the next call puts back instead of running them again
-        ([3000, 1000, 3000, 40, 2976], 97),
+        # the 94 sequences of the 3000 tokens, the last padded, once each
+        ([1000, 2999, 640, 3000], 94),
+        ([3000, 1000, 3000, 40, 2976], 94),
     ])
     def test_only_sequences_not_yet_held_are_run(self, tiny_model, tiny_corpus, monkeypatch,
                                                   sizes, rows):
@@ -280,6 +284,23 @@ class TestCaptureReuse:
         for size in sizes:
             capture_calibration(tiny_model, tiny_corpus, size, reuse=reuse)
         assert sum(seen) == rows
+
+    def test_a_capture_is_a_column_prefix_of_a_longer_one(self, tiny_model, tiny_corpus):
+        # a short last sequence runs padded with STOP_BYTE, which causal
+        # attention hides, so its columns have the bits of the corpus's whole
+        # sequence; a reused buffer's columns are written once, so every
+        # view it returned still holds them after the later calls
+        longest = capture_calibration(tiny_model, tiny_corpus, 3000)
+        reuse: dict = {}
+        captures = []
+        for size in (17, 1000, 2500, 2999):
+            captures += [capture_calibration(tiny_model, tiny_corpus, size),
+                         capture_calibration(tiny_model, tiny_corpus, size, reuse=reuse)]
+        assert sorted(reuse) == ["held", "inputs", "key"]
+        for capture in captures:
+            for site, x in longest.inputs.items():
+                want = x[:, :capture.tokens].tobytes()
+                assert np.ascontiguousarray(capture.inputs[site]).tobytes() == want, site
 
     def test_another_model_or_corpus_starts_again(self, tiny_model, tiny_corpus):
         other = tp.random_model(tiny_model.config, seed=12)
@@ -517,11 +538,12 @@ class TestCompression:
             dense += d_in * d_out
             rank, _ = rank_for_factor(level, d_in, d_out)
             retained += d_in * d_out if rank is None else rank * (d_in + d_out)
-        assert retained == retained_site_params(vec, tiny_model.config)
+        assert retained == estimate_flops_per_token(cfg, vec.levels()) // 2
         assert compression_ratio(vec, tiny_model.config) == pytest.approx(1 - retained / dense)
 
     def test_monotone_cost(self, tiny_model):
         rng = derive_rng(62)
+        cfg = tiny_model.config
         for _ in range(20):
             indices = [int(i) for i in rng.integers(0, 9, size=8)]
             base_vec = PruningVector(tuple(indices), DEFAULT_FACTOR_SET)
@@ -529,8 +551,8 @@ class TestCompression:
             lowered = list(indices)
             lowered[site] += 1  # one step more aggressive
             low_vec = PruningVector(tuple(lowered), DEFAULT_FACTOR_SET)
-            assert (retained_site_params(low_vec, tiny_model.config)
-                    <= retained_site_params(base_vec, tiny_model.config))
+            assert (estimate_flops_per_token(cfg, low_vec.levels())
+                    <= estimate_flops_per_token(cfg, base_vec.levels()))
 
 
 class TestCachePersistence:

@@ -12,7 +12,8 @@ import pytest
 
 import taskprune as tp
 from taskprune import calibrate, report, search
-from taskprune.calibrate import FactorSet, PruningVector, compression_ratio, retained_site_params
+from taskprune.calibrate import (FactorSet, PruningVector, compression_ratio,
+                                 estimate_flops_per_token)
 from taskprune.factorize import FactorizeOptions
 from taskprune.linalg import derive_rng
 from taskprune.model import site_dims, sites
@@ -73,7 +74,8 @@ class TestRetentionTables:
         mean_all = sum(per_layer.values()) / len(per_layer)
         cfg = tiny_model.config
         dense = PruningVector.all_ones(tp.DEFAULT_FACTOR_SET, 8)
-        retained_frac = retained_site_params(vec, cfg) / retained_site_params(dense, cfg)
+        retained_frac = (estimate_flops_per_token(cfg, vec.levels())
+                         / estimate_flops_per_token(cfg, dense.levels()))
         step = max((d_in + d_out) / (d_in * d_out)
                    for d_in, d_out in (site_dims(cfg, s) for s in sites(cfg)))
         assert abs(mean_all - retained_frac) <= step
@@ -196,7 +198,6 @@ class TestCalibrationSweep:
 
         def checked_capture(model, corpus, min_tokens, reuse=None):
             capture = real_capture(model, corpus, min_tokens, reuse=reuse)
-            # compared now: the views are valid only until the next call
             fresh = real_capture(model, tiny_corpus, min_tokens)
             assert capture.corpus_fingerprint == fresh.corpus_fingerprint
             for site, x in fresh.inputs.items():
@@ -229,9 +230,8 @@ class TestCalibrationSweep:
         opts = FactorizeOptions(epochs=1, batch_tokens=500, learning_rate=0.003, seed=0)
         calibration_sweep(tiny_model, tiny_corpus, [1000, 2999, 640, 3000], tiny_task,
                           level=0.5, opts=opts, workers=1)
-        # the 93 whole sequences of the first 3000 tokens, and the partial
-        # last sequences of 1000, 2999 and 3000 tokens
-        assert sum(rows) == 93 + 3
+        # the 94 sequences of the 3000 tokens, the last padded, once each
+        assert sum(rows) == 94
 
     def test_corpus_is_checked_once(self, tiny_model, tiny_corpus, tiny_task, monkeypatch):
         checked = []
@@ -263,6 +263,15 @@ class TestCalibrationSweep:
         monkeypatch.setattr(report, "capture_calibration", forbidden)
         with pytest.raises(ValueError):
             calibration_sweep(tiny_model, tiny_corpus, sizes, tiny_task, level=level)
+
+    def test_worker_count_checked_before_any_work(self, tiny_model, tiny_corpus, tiny_task,
+                                                  monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the worker count was checked")
+
+        monkeypatch.setattr(report, "exact_match_task", forbidden)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            calibration_sweep(tiny_model, tiny_corpus, [500], tiny_task, workers=0)
 
 
 class Unprintable:

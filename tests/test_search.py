@@ -619,6 +619,15 @@ def test_ga_config_validation():
     GaConfig(max_generations=None)      # no limit
 
 
+def test_ga_config_rejects_an_empty_population():
+    # an empty population leaves ga_search no record to take its best from
+    with pytest.raises(ValueError, match="population must be >= 1"):
+        GaConfig(population=0, n_uniform_seeds=0, elitism_count=0)
+    with pytest.raises(ValueError, match=r"n_uniform_seeds must lie in \[0, population\]"):
+        GaConfig(n_uniform_seeds=-1)
+    GaConfig(population=1, n_uniform_seeds=0, elitism_count=0)
+
+
 def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_cache, tiny_task):
     # three layer-0 gene sets, so that a thread's consecutive vectors often
     # share their first layer and resume after it
