@@ -98,9 +98,6 @@ class FactorSet:
     def __getitem__(self, i: int) -> float:
         return self.levels[i]
 
-    def index(self, level: float) -> int:
-        return self.levels.index(level)
-
 
 DEFAULT_FACTOR_SET = FactorSet()
 

@@ -94,14 +94,16 @@ def truncated_svd(m: Matrix, r: int) -> SvdResult:
     return SvdResult(u, sigma, vt).top(r)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam accumulator; moments are allocated on first use."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
@@ -117,11 +119,11 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> np.ndarr
     if state.m.shape != param.shape:
         raise ValueError("Adam state was created for a different parameter shape")
     state.step += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    param -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return param

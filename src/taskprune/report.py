@@ -52,15 +52,13 @@ def sweep_uniform(
     model: ModelWeights,
     cache: AdapterCache,
     task: TaskSpec,
-    level_indices: Sequence[int] | None = None,
     eval_fn: EvalFn | None = None,
 ) -> list[SweepPoint]:
     """Evaluate each uniform retention level, most retained first."""
     ev = eval_fn or make_eval_fn(model, cache, task)
     n_sites = len(sites(model.config))
-    indices = list(level_indices) if level_indices is not None else list(range(len(cache.factor_set)))
     points = []
-    for idx in indices:
+    for idx in range(len(cache.factor_set)):
         vec = PruningVector.uniform(cache.factor_set, n_sites, idx)
         res = ev(vec)
         points.append(SweepPoint(
@@ -115,9 +113,9 @@ def calibration_sweep(
     Captures each size, builds its cache (only at `level`) and evaluates.
     The captures share one `reuse` dict over the first max(sizes) corpus
     tokens, so each sequence runs through the model once, whatever the
-    order of the sizes, and a size's capture is a column prefix of those
-    buffers. A size's capture is dropped before the next size is captured,
-    so only one capture is held at a time. The level, every size and
+    order of the sizes, and a size's capture is a column view of those
+    buffers, so the sweep holds one buffer per site, max(sizes) tokens wide,
+    whatever the number of sizes. The level, every size and
     `workers` are checked, and the task is resolved against the unpruned
     model once, before the first size.
     """
@@ -136,7 +134,6 @@ def calibration_sweep(
         ev = make_eval_fn(model, cache, task)
         vec = PruningVector.uniform(cache.factor_set, len(sites(model.config)), 1)
         points.append((size, ev(vec).accuracy))
-        del capture     # not at the next assignment, which comes after the next capture
     return points
 
 

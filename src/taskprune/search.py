@@ -44,6 +44,10 @@ from .model import (STOP_BYTE, FormatError, ModelWeights, check_prompts, greedy_
 log = logging.getLogger(__name__)
 
 FITNESS_EXP_CLAMP = 60.0
+PENALTY_GAIN = 50.0       # the fitness exponent's gain
+CROSSOVER_PROB = 0.5      # ga_search: one-point crossover per pair of parents
+MUTATION_PROB = 0.2       # ga_search: a +-1 level step per gene
+STALL_IMPROVEMENT = 0.05  # ga_search: a generation stalls below this relative gain
 FITNESS_WINDOW = 0.8      # bottleneck_analysis: top = fitness >= this share of the best
 
 
@@ -145,11 +149,9 @@ def threshold_accuracy(a_star: float, epsilon: float) -> float:
     return (1.0 - epsilon) * a_star
 
 
-def fitness_from_compression(
-    c: float, a: float, a0: float, penalty_gain: float = 50.0
-) -> float:
+def fitness_from_compression(c: float, a: float, a0: float) -> float:
     """F = c * (1 + e^{gain (a - a0)}), exponent clamped at +60 against overflow."""
-    z = min(penalty_gain * (a - a0), FITNESS_EXP_CLAMP)
+    z = min(PENALTY_GAIN * (a - a0), FITNESS_EXP_CLAMP)
     return c * (1.0 + math.exp(z))
 
 
@@ -305,11 +307,7 @@ def binary_search_uniform(
 class GaConfig:
     population: int = 100
     n_uniform_seeds: int = 10
-    crossover_prob: float = 0.5
-    mutation_prob: float = 0.2
-    penalty_gain: float = 50.0
     stall_generations: int = 10
-    stall_improvement: float = 0.05
     elitism_count: int = 1
     seed: int = 0
     workers: int = 1
@@ -320,9 +318,6 @@ class GaConfig:
             raise ValueError("population must be >= 1")
         if not 0 <= self.n_uniform_seeds <= self.population:
             raise ValueError("n_uniform_seeds must lie in [0, population]")
-        for name in ("crossover_prob", "mutation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
         if self.elitism_count < 0 or self.elitism_count > self.population:
             raise ValueError("elitism_count out of range")
         if self.seed < 0:
@@ -368,8 +363,10 @@ def ga_search(
     run resumable: with `resume=True` the history at `history_path`, then a
     partial that an interrupted run left, pre-seed the memo so previously
     scored vectors are not re-decoded. The memo keeps accuracy and
-    compression only; fitness is derived from them with this run's a0 and
-    penalty gain, which the earlier run may not share.
+    compression only; a resume re-derives fitness from them under this run's
+    a0, which the earlier run may not share. The best record is the first of
+    highest fitness among the feasible ones (accuracy >= a0), or among all of
+    them when none is feasible.
     """
     cfg = cfg or GaConfig()
     factor_set = cache.factor_set
@@ -409,32 +406,6 @@ def ga_search(
     resumed = len(memo)
     history: list[EvalRecord] = []
 
-    def evaluate_generation(generation: int,
-                            population: list[tuple[int, ...]]) -> list[EvalRecord]:
-        # sorted, so that neighbours share leading genes; each worker scores
-        # one contiguous run of them and resumes from its own last vector
-        pending = sorted(set(population) - memo.keys())
-        n = min(cfg.workers, len(pending))
-        if n > 1:
-            cuts = [len(pending) * i // n for i in range(n + 1)]
-            chunks = [pending[a:b] for a, b in zip(cuts, cuts[1:])]
-            barrier = threading.Barrier(n)
-            parts = pool.map(run_chunk, chunks, [barrier] * n)
-            scored = [t for part in parts for t in part]
-        else:
-            scored = [job(genes) for genes in pending]
-        memo.update(zip(pending, scored))
-        records = []
-        for genes in population:
-            a, c = memo[genes]
-            records.append(EvalRecord(generation, genes, a, c,
-                                      fitness_from_compression(c, a, a0, cfg.penalty_gain)))
-        history.extend(records)
-        if stream is not None:
-            stream.write("".join(map(_history_line, records)))
-            stream.flush()
-        return records
-
     # Initial population: one uniform chromosome per factor level, the rest
     # with genes drawn uniformly from the grid.
     population = [(i,) * n_sites for i in range(min(cfg.n_uniform_seeds, n_levels))]
@@ -444,37 +415,49 @@ def ga_search(
     def mutate(genes: tuple[int, ...]) -> tuple[int, ...]:
         out = list(genes)
         for i in range(n_sites):
-            if rng.random() < cfg.mutation_prob:
+            if rng.random() < MUTATION_PROB:
                 step = 1 if rng.random() < 0.5 else -1
                 out[i] = min(max(out[i] + step, 0), n_levels - 1)
         return tuple(out)
 
-    best: EvalRecord | None = None
-    best_feasible: EvalRecord | None = None
-    stall_ref = -math.inf
+    best_fitness = stall_ref = -math.inf
     stall = 0
     generation = 0
 
     try:
         while True:
-            records = evaluate_generation(generation, population)
-            for rec in records:
-                if best is None or rec.fitness > best.fitness:
-                    best = rec
-                if rec.accuracy >= a0 and (
-                    best_feasible is None or rec.fitness > best_feasible.fitness
-                ):
-                    best_feasible = rec
+            # sorted, so that neighbours share leading genes; each worker scores
+            # one contiguous run of them and resumes from its own last vector
+            pending = sorted(set(population) - memo.keys())
+            n = min(cfg.workers, len(pending))
+            if n > 1:
+                cuts = [len(pending) * i // n for i in range(n + 1)]
+                chunks = [pending[a:b] for a, b in zip(cuts, cuts[1:])]
+                parts = pool.map(run_chunk, chunks, [threading.Barrier(n)] * n)
+                scored = [t for part in parts for t in part]
+            else:
+                scored = [job(genes) for genes in pending]
+            memo.update(zip(pending, scored))
+            records = []
+            for genes in population:
+                a, c = memo[genes]
+                records.append(EvalRecord(generation, genes, a, c,
+                                          fitness_from_compression(c, a, a0)))
+            history.extend(records)
+            if stream is not None:
+                stream.write("".join(map(_history_line, records)))
+                stream.flush()
 
-            improved = (best.fitness > stall_ref * (1.0 + cfg.stall_improvement)
-                        if stall_ref > 0.0 else best.fitness > stall_ref)
+            best_fitness = max(best_fitness, *(rec.fitness for rec in records))
+            improved = (best_fitness > stall_ref * (1.0 + STALL_IMPROVEMENT)
+                        if stall_ref > 0.0 else best_fitness > stall_ref)
             if improved:
-                stall_ref = best.fitness
+                stall_ref = best_fitness
                 stall = 0
             else:
                 stall += 1
             log.info("generation %d: best fitness %.6f (stall %d/%d)",
-                     generation, best.fitness, stall, cfg.stall_generations)
+                     generation, best_fitness, stall, cfg.stall_generations)
             if stall >= cfg.stall_generations:
                 break
             if cfg.max_generations is not None and generation + 1 >= cfg.max_generations:
@@ -491,7 +474,7 @@ def ga_search(
             while len(population) < cfg.population:
                 g1, g2 = (records[int(rng.integers(0, n) if p is None
                                       else rng.choice(n, p=p))].genes for _ in range(2))
-                if n_sites > 1 and rng.random() < cfg.crossover_prob:
+                if n_sites > 1 and rng.random() < CROSSOVER_PROB:
                     point = int(rng.integers(1, n_sites))
                     g1, g2 = g1[:point] + g2[point:], g2[:point] + g1[point:]
                 for genes in (g1, g2):
@@ -509,16 +492,16 @@ def ga_search(
     log.info("ga_search: %d evaluations requested, %d unique, %d served by the memo",
              len(history), unique, len(history) - unique)
 
-    feasible = best_feasible is not None
+    feasible = [rec for rec in history if rec.accuracy >= a0]
     if not feasible:
         log.warning("no chromosome met the accuracy threshold a0=%.4f; "
                     "returning the best by fitness", a0)
     return GaResult(
-        best=best_feasible if feasible else best,
+        best=max(feasible or history, key=lambda rec: rec.fitness),
         history=history,
         a_star=a_star,
         a0=a0,
-        feasible=feasible,
+        feasible=bool(feasible),
         generations=generation + 1,
     )
 

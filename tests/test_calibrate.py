@@ -56,7 +56,7 @@ class TestFactorSet:
     def test_default_levels(self):
         assert DEFAULT_FACTOR_SET.levels == (1.0, 0.9, 0.75, 0.6, 0.5, 0.35, 0.25, 0.2, 0.1, 0.05)
         assert len(DEFAULT_FACTOR_SET) == 10
-        assert DEFAULT_FACTOR_SET.index(0.35) == 5
+        assert DEFAULT_FACTOR_SET.levels.index(0.35) == 5
 
     def test_must_start_at_one(self):
         with pytest.raises(ValueError):
@@ -521,7 +521,7 @@ class TestCompression:
         assert compression_ratio(vec, tiny_model.config) == 0.0
 
     def test_uniform_half_within_rank_step(self, tiny_model):
-        vec = PruningVector.uniform(DEFAULT_FACTOR_SET, 8, DEFAULT_FACTOR_SET.index(0.5))
+        vec = PruningVector.uniform(DEFAULT_FACTOR_SET, 8, DEFAULT_FACTOR_SET.levels.index(0.5))
         cfg = tiny_model.config
         step = max((d_in + d_out) / (d_in * d_out)
                    for d_in, d_out in (site_dims(cfg, s) for s in sites(cfg)))

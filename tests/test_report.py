@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import weakref
 
 import numpy as np
 import pytest
@@ -32,13 +31,13 @@ from taskprune.search import EvalRecord, make_eval_fn
 
 class TestSweepUniform:
     def test_first_point_is_unpruned_baseline(self, tiny_model, tiny_cache, tiny_task):
-        points = sweep_uniform(tiny_model, tiny_cache, tiny_task, level_indices=[0, 5])
+        points = sweep_uniform(tiny_model, tiny_cache, tiny_task)
         assert points[0].level == 1.0
         assert points[0].compression == 0.0
         assert points[0].accuracy == 1.0
 
     def test_csv_round_trip_replays(self, tiny_model, tiny_cache, tiny_task, tmp_path):
-        points = sweep_uniform(tiny_model, tiny_cache, tiny_task, level_indices=[0, 4, 9])
+        points = sweep_uniform(tiny_model, tiny_cache, tiny_task)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(points, path)
         with open(path, newline="") as fh:
@@ -48,7 +47,7 @@ class TestSweepUniform:
         # replaying the evaluations from the CSV matches fresh evaluations
         ev = make_eval_fn(tiny_model, tiny_cache, tiny_task)
         for p in replayed:
-            idx = tiny_cache.factor_set.index(p.level)
+            idx = tiny_cache.factor_set.levels.index(p.level)
             vec = PruningVector.uniform(tiny_cache.factor_set, 8, idx)
             assert ev(vec).accuracy == p.accuracy
 
@@ -166,23 +165,29 @@ class TestCalibrationSweep:
         assert len(points) == 3
         assert free == [tiny_model]
 
-    def test_one_capture_is_held_at_a_time(self, tiny_model, tiny_corpus, tiny_task,
-                                           monkeypatch):
-        held = []
+    def test_captures_view_one_buffer_per_site(self, tiny_model, tiny_corpus, tiny_task,
+                                               monkeypatch):
+        # the sweep holds one buffer per site, max(sizes) tokens wide, and
+        # every size's capture is a view of it, whatever the order of sizes
+        captures = []
         real_capture = report.capture_calibration
 
-        def tracked_capture(*args, **kwargs):
-            assert all(ref() is None for ref in held), "an earlier capture is still alive"
-            capture = real_capture(*args, **kwargs)
-            held.append(weakref.ref(capture))
-            return capture
+        def recorded_capture(*args, **kwargs):
+            captures.append(real_capture(*args, **kwargs))
+            return captures[-1]
 
-        monkeypatch.setattr(report, "capture_calibration", tracked_capture)
+        monkeypatch.setattr(report, "capture_calibration", recorded_capture)
         opts = FactorizeOptions(epochs=1, batch_tokens=500, learning_rate=0.003, seed=0)
-        points = calibration_sweep(tiny_model, tiny_corpus, [800, 1200, 2000], tiny_task,
+        sizes = [1000, 3000, 2000]
+        points = calibration_sweep(tiny_model, tiny_corpus, sizes, tiny_task,
                                    level=0.5, opts=opts, workers=1)
-        assert [size for size, _ in points] == [800, 1200, 2000]
-        assert len(held) == 3
+        assert [size for size, _ in points] == sizes
+        assert [capture.tokens for capture in captures] == sizes
+        buffers = {site: x.base for site, x in captures[0].inputs.items()}
+        assert len({id(buffer) for buffer in buffers.values()}) == len(buffers)
+        for site, buffer in buffers.items():
+            assert buffer.base is None and buffer.shape[1] == max(sizes)
+            assert all(capture.inputs[site].base is buffer for capture in captures)
 
     @pytest.mark.parametrize("sizes", [
         [640, 1280, 2560],              # ascending, whole 32-token sequences
