@@ -22,11 +22,15 @@ so an error costs O(d_out d_in^2) instead of a pass over every token, and
 the closed form is the best rank-R approximation of W L mapped back
 through L's pseudo-inverse: reduced-rank regression (Izenman 1975), which
 is SVD-LLM's truncation-aware whitening (Wang et al., arXiv:2403.07378).
+No method forms Y: a gradient step needs only its batch's Gram x x^T, and
+a reported error is ||E X|| / ||W X|| on the full data, a block of columns
+at a time, because the clipped eigenvalues behind L put a floor of about
+sqrt(eps) under ||E L||, which only ranks iterates.
 
-A gradient step gathers its token batch as rows of token-major copies of
-X and Y, made once per site, and updates b and c together: they are views
-into one packed buffer with one Adam state (Kingma & Ba, arXiv:1412.6980),
-one update per step as in multi-tensor Adam. Adam is elementwise, so the
+A gradient step gathers its token batch as rows of a token-major copy of
+X, made once per site, and updates b and c together: they are views into
+one packed buffer with one Adam state (Kingma & Ba, arXiv:1412.6980), one
+update per step as in multi-tensor Adam. Adam is elementwise, so the
 packed update has the bits of one update per factor.
 """
 
@@ -44,14 +48,14 @@ from .linalg import (
     SvdResult,
     adam_step,
     derive_rng,
-    frobenius_norm,
-    frobenius_rel_error,
+    frobenius_rel_error,  # noqa: F401 - perfbench/spans.py traces it under this module
     truncated_svd,
 )
 
 UNPRUNED = None
 _RANK_EPS = 1e-9          # floor guard so achieved factors round-trip exactly
 _GRAM_RTOL = 1e-12        # eigenvalues of X X^T below rtol * the largest count as zero
+_NORM_BLOCK = 1024        # columns of X per product when a norm is measured on the full data
 
 
 class Method(str, Enum):
@@ -130,10 +134,16 @@ def rank_for_factor(p: float, d_in: int, d_out: int) -> tuple[int | None, float]
     return rank, achieved_factor(rank, d_in, d_out)
 
 
-def pair_error(b: Matrix, c: Matrix, x_cal: Matrix, y_cal: Matrix,
+def _output_norm(m: Matrix, x_cal: Matrix) -> float:
+    """||m X||_F, formed _NORM_BLOCK columns of X at a time."""
+    blocks = (m @ x_cal[:, i:i + _NORM_BLOCK] for i in range(0, x_cal.shape[1], _NORM_BLOCK))
+    return math.sqrt(math.fsum(np.sum(np.multiply(p, p, out=p)) for p in blocks))
+
+
+def pair_error(b: Matrix, c: Matrix, x_cal: Matrix, w: Matrix,
                y_norm: float | None = None) -> float:
-    """||Y - b c X|| / ||Y||; `y_norm` is ||Y|| when the caller has it."""
-    return frobenius_rel_error(y_cal, b @ (c @ x_cal), y_norm)
+    """||(W - b c) X|| / ||W X||; `y_norm` is ||W X|| when the caller has it."""
+    return _output_norm(w - b @ c, x_cal) / (_output_norm(w, x_cal) if y_norm is None else y_norm)
 
 
 def _svd_factors(svd: SvdResult) -> tuple[Matrix, Matrix]:
@@ -147,37 +157,35 @@ def factorize_svd_w(w: Matrix, rank: int, x_cal: Matrix) -> FactorizedMatrix:
     return OutputAlignedSite(w, x_cal).svd_w(rank)
 
 
-def reconstruction_gradients(
-    b: Matrix, c: Matrix, x: Matrix, y: Matrix
-) -> tuple[Matrix, Matrix]:
-    """Gradients of L(b,c) = 0.5 * ||y - b c x||_F^2 w.r.t. b and c."""
-    cx = c @ x
-    # r = b c x - y is minus the residual, so neither gradient negates a copy
-    r = b @ cx
-    r -= y
-    return r @ cx.T, (b.T @ r) @ x.T
+def reconstruction_gradients(b: Matrix, c: Matrix, w: Matrix, x: Matrix) -> tuple[Matrix, Matrix]:
+    """Gradients of L(b,c) = 0.5 * ||W x - b c x||_F^2 w.r.t. b and c: with
+    D = b c - W and the batch Gram G = x x^T, (D G) c^T and b^T (D G)."""
+    d = b @ c
+    d -= w
+    dg = d @ (x @ x.T)
+    return dg @ c.T, b.T @ dg
 
 
 class OutputAlignedSite:
     """Every factorization method of one weight, at any number of ranks.
 
-    Construction does the rank-independent work once: the outputs Y = W X,
-    the full SVD of W, sliced per rank for svd_w and GD's initialization,
-    the eigendecomposition of X X^T behind L, pca_x and the closed form (see
-    the module docstring), and token-major copies of X and Y for the batch
-    gathers. Raises DegenerateSiteError when the calibration outputs have
-    zero norm.
+    Construction does the rank-independent work once: the output norm
+    ||W X||, the full SVD of W, sliced per rank for svd_w and GD's
+    initialization, the eigendecomposition of X X^T behind L, pca_x and the
+    closed form (see the module docstring), and a token-major copy of X for
+    the batch gathers. It never forms the outputs W X. Raises
+    DegenerateSiteError when the calibration outputs have zero norm.
     """
 
     def __init__(self, w: Matrix, x_cal: Matrix):
         if x_cal.ndim != 2 or x_cal.shape[0] != w.shape[1]:
             raise ValueError(f"inputs {x_cal.shape} do not match the weight shape {w.shape}")
-        self.w, self.x_cal, self.y_cal = w, x_cal, w @ x_cal
-        self.y_norm = frobenius_norm(self.y_cal)
+        self.w, self.x_cal = w, x_cal
+        self.y_norm = _output_norm(w, x_cal)
         if self.y_norm == 0.0:
             raise DegenerateSiteError("calibration outputs have zero norm")
-        # token-major copies: a batch is then a gather of contiguous rows
-        self.xt, self.yt = np.ascontiguousarray(x_cal.T), np.ascontiguousarray(self.y_cal.T)
+        # token-major copy: a batch is then a gather of contiguous rows
+        self.xt = np.ascontiguousarray(x_cal.T)
         self.svd = truncated_svd(w, min(w.shape))
         # X X^T is singular for layer-norm-fed sites, which rules out
         # Cholesky; rounding can leave its zero eigenvalues slightly negative
@@ -191,7 +199,7 @@ class OutputAlignedSite:
         self.x_root = np.sqrt(eigval[::-1][:n_kept])
 
     def error(self, b: Matrix, c: Matrix) -> float:
-        """pair_error(b, c, x_cal, W x_cal) as ||(W - b c) L|| / ||Y||."""
+        """pair_error(b, c, x_cal, W) as ||(W - b c) L|| / ||W X||, above a sqrt(eps) floor."""
         el = (self.w - b @ c) @ self.l
         return math.sqrt(float(np.sum(el * el))) / self.y_norm
 
@@ -205,10 +213,10 @@ class OutputAlignedSite:
         shuffled token batches of `opts.batch_tokens` columns, and keeps the
         iterate with the lowest full-data error, evaluated from the per-site
         statistics after every batch. A batch is a gather of rows of the
-        token-major copies, and b and c live in one packed buffer that one
+        token-major copy of X, and b and c live in one packed buffer that one
         `adam_step` per batch updates. The returned calib_error is measured
-        directly on the chosen iterate. No early stopping; a non-finite loss
-        (which any non-finite entry of b or c makes) raises
+        on the full data for the chosen iterate. No early stopping; a
+        non-finite loss (which any non-finite entry of b or c makes) raises
         FactorizationDiverged carrying the best finite iterate.
         """
         opts = opts or FactorizeOptions()
@@ -228,7 +236,7 @@ class OutputAlignedSite:
 
         state = AdamState(lr=opts.learning_rate)
         rng = derive_rng(opts.seed)
-        xt, yt = self.xt, self.yt
+        xt = self.xt
         n_tokens = xt.shape[0]
 
         # a non-finite loss is an explicitly handled signal, not a numpy warning
@@ -238,7 +246,7 @@ class OutputAlignedSite:
                 for start in range(0, n_tokens, opts.batch_tokens):
                     idx = perm[start:start + opts.batch_tokens]
                     grad_b[...], grad_c[...] = reconstruction_gradients(
-                        b, c, xt[idx].T, yt[idx].T)
+                        b, c, self.w, xt[idx].T)
                     adam_step(params, grads, state)
                     err = self.error(b, c)
                     if not math.isfinite(err):
@@ -284,7 +292,7 @@ class OutputAlignedSite:
                 method: Method = Method.OUTPUT_ALIGNED_GD) -> FactorizedMatrix:
         d_out, d_in = self.w.shape
         return FactorizedMatrix(b, c, rank, method,
-                                pair_error(b, c, self.x_cal, self.y_cal, self.y_norm),
+                                pair_error(b, c, self.x_cal, self.w, self.y_norm),
                                 achieved_factor(rank, d_in, d_out))
 
 

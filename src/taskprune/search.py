@@ -48,6 +48,7 @@ PENALTY_GAIN = 50.0       # the fitness exponent's gain
 CROSSOVER_PROB = 0.5      # ga_search: one-point crossover per pair of parents
 MUTATION_PROB = 0.2       # ga_search: a +-1 level step per gene
 STALL_IMPROVEMENT = 0.05  # ga_search: a generation stalls below this relative gain
+ELITISM_COUNT = 1         # ga_search: the best vectors carried on unchanged
 FITNESS_WINDOW = 0.8      # bottleneck_analysis: top = fitness >= this share of the best
 
 
@@ -308,7 +309,6 @@ class GaConfig:
     population: int = 100
     n_uniform_seeds: int = 10
     stall_generations: int = 10
-    elitism_count: int = 1
     seed: int = 0
     workers: int = 1
     max_generations: int | None = None     # None: stop on stall alone
@@ -318,8 +318,6 @@ class GaConfig:
             raise ValueError("population must be >= 1")
         if not 0 <= self.n_uniform_seeds <= self.population:
             raise ValueError("n_uniform_seeds must lie in [0, population]")
-        if self.elitism_count < 0 or self.elitism_count > self.population:
-            raise ValueError("elitism_count out of range")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.workers < 1:
@@ -465,7 +463,7 @@ def ga_search(
                 break
 
             ranked = sorted(records, key=lambda rec: -rec.fitness)
-            population = [rec.genes for rec in ranked[:cfg.elitism_count]]
+            population = [rec.genes for rec in ranked[:ELITISM_COUNT]]
             # roulette selection by fitness, or uniform when none is positive
             weights = np.array([max(rec.fitness, 0.0) for rec in records])
             total = weights.sum()

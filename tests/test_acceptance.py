@@ -111,12 +111,12 @@ def test_criterion_03_gradient_correctness():
     for _ in range(20):
         b = rng.normal(size=(6, 3))
         c = rng.normal(size=(3, 6))
+        w = rng.normal(size=(6, 6))
         x = rng.normal(size=(6, 6))
-        y = rng.normal(size=(6, 6))
-        gb, gc = reconstruction_gradients(b, c, x, y)
+        gb, gc = reconstruction_gradients(b, c, w, x)
 
         def loss():
-            r = y - b @ c @ x
+            r = w @ x - b @ c @ x
             return 0.5 * float(np.sum(r * r))
 
         h = 1e-6

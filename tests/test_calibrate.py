@@ -5,7 +5,10 @@ import dataclasses
 import io
 import logging
 import os
+import pickle
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -311,6 +314,26 @@ class TestCaptureReuse:
             assert_same_capture(capture, capture_calibration(model, corpus, 1000))
 
 
+BLAS_THREADS_BUILD = """
+import pickle, sys
+import numpy as np
+import taskprune as tp
+from taskprune.calibrate import FactorSet, build_cache, capture_calibration
+from taskprune.linalg import derive_rng
+cfg = tp.TransformerConfig(n_layers=4, d_model=32, n_heads=4, d_ff=64, max_seq_len=48)
+model = tp.random_model(cfg, seed=1, spectral_decay=0.6)
+rng = derive_rng(501)
+letters = sorted(rng.choice(np.arange(1, 256), size=16, replace=False).tolist())
+corpus = bytes(rng.choice(letters, size=12000).tolist())
+capture = capture_calibration(model, corpus, min_tokens=12000)
+cache = build_cache(model, capture, FactorSet((1.0, 0.5)), workers=1)
+entries = {str(key): (fm.b.tobytes(), fm.c.tobytes(), fm.calib_error.hex())
+           for key, fm in cache.entries.items() if fm is not None}
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump(entries, fh)
+"""
+
+
 class TestBuildCache:
     def test_entry_counting(self, tiny_cache, tiny_model):
         # 2 layers x 4 sites x 9 pruned levels
@@ -335,6 +358,24 @@ class TestBuildCache:
         a = build_cache(tiny_model, tiny_capture, fset, opts, workers=1)
         b = build_cache(tiny_model, tiny_capture, fset, opts, workers=4)
         assert a.fingerprint() == b.fingerprint()
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs 2 usable CPUs for a 2-thread BLAS build")
+    def test_entries_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the criterion-9 sweep model at 12,000 tokens, level 0.5 and the
+        # default options, built at 1 and at 2 OpenBLAS threads; the thread
+        # count is read when numpy loads, so each build is its own process
+        entries = []
+        for threads in (1, 2):
+            out = tmp_path / f"entries_{threads}.pkl"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.path.dirname(os.path.dirname(tp.__file__)))
+            subprocess.run([sys.executable, "-c", BLAS_THREADS_BUILD, str(out)],
+                           env=env, check=True, timeout=300)
+            entries.append(pickle.loads(out.read_bytes()))
+        one, two = entries
+        assert len(one) == 16 and one.keys() == two.keys()
+        assert [key for key in one if one[key] != two[key]] == []
 
     def test_seed_changes_fingerprint(self, tiny_model, tiny_capture):
         fset = FactorSet((1.0, 0.5))
@@ -372,8 +413,8 @@ class TestBuildCache:
         poisoned_fit, steps = [], []
         real = factorize.reconstruction_gradients
 
-        def poisoned(b, c, x, y):
-            grad_b, grad_c = real(b, c, x, y)
+        def poisoned(b, c, w, x):
+            grad_b, grad_c = real(b, c, w, x)
             # the first fit of this shape in build order is layer 0's, level 0.5
             if not poisoned_fit and b.shape == (tiny_model.config.d_ff, rank):
                 poisoned_fit.append(b)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestSvdW:
     def test_calibration_error_when_pair_supplied(self):
         w, x, y = misaligned_instance(41)
         fm = OutputAlignedSite(w, x).svd_w(4)
-        assert fm.calib_error == pytest.approx(pair_error(fm.b, fm.c, x, y))
+        assert fm.calib_error == pytest.approx(pair_error(fm.b, fm.c, x, w))
 
     def test_is_the_fit_init(self):
         # a learning rate below every ulp leaves fit at its initial iterate
@@ -268,7 +269,7 @@ class TestOutputAlignedGd:
 
 def unpacked_fit(site, rank, opts, trace):
     """The gradient-descent loop with one Adam state per factor, batches
-    gathered as columns of the (d, T) calibration arrays and explicit isfinite
+    gathered as columns of the (d_in, T) calibration inputs and explicit isfinite
     scans; `OutputAlignedSite.fit` must reproduce it bit for bit."""
     top = site.svd.top(rank)
     root = np.sqrt(top.sigma)
@@ -284,7 +285,7 @@ def unpacked_fit(site, rank, opts, trace):
             for start in range(0, n_tokens, opts.batch_tokens):
                 idx = perm[start:start + opts.batch_tokens]
                 grad_b, grad_c = factorize.reconstruction_gradients(
-                    b, c, site.x_cal[:, idx], site.y_cal[:, idx])
+                    b, c, site.w, site.x_cal[:, idx])
                 adam_step(b, grad_b, state_b)
                 adam_step(c, grad_c, state_c)
                 err = (site.error(b, c)
@@ -337,8 +338,8 @@ class TestPackedStep:
         calls = []
         real = factorize.reconstruction_gradients
 
-        def poisoned(b, c, x, y):
-            grad_b, grad_c = real(b, c, x, y)
+        def poisoned(b, c, w, x):
+            grad_b, grad_c = real(b, c, w, x)
             calls.append(None)
             if len(calls) == poisoned_step:
                 (grad_b if block == "b" else grad_c)[0, 0] = bad
@@ -363,7 +364,7 @@ class TestPackedStep:
 class TestOutputAlignedSite:
     @staticmethod
     def assert_statistic_matches(w, x, rank, seed):
-        site, y = OutputAlignedSite(w, x), w @ x
+        site = OutputAlignedSite(w, x)
         rng = derive_rng(seed)
         init = factorize_svd_w(w, rank, x)
         pairs = [(init.b, init.c)]
@@ -371,7 +372,7 @@ class TestOutputAlignedSite:
             pairs.append((init.b + scale * rng.normal(size=init.b.shape),
                           init.c + scale * rng.normal(size=init.c.shape)))
         for b, c in pairs:
-            direct = pair_error(b, c, x, y)
+            direct = pair_error(b, c, x, w)
             assert site.error(b, c) == pytest.approx(direct, rel=1e-10)
 
     def test_statistic_matches_pair_error_on_exact_outputs(self):
@@ -395,7 +396,23 @@ class TestOutputAlignedSite:
             a = site.fit(rank, opts)
             b = factorize_output_aligned(w, x, rank, opts)
             assert np.array_equal(a.b, b.b) and np.array_equal(a.c, b.c)
-            assert a.calib_error == b.calib_error == pair_error(a.b, a.c, x, y)
+            assert a.calib_error == b.calib_error == pair_error(a.b, a.c, x, w)
+
+    def test_fit_never_holds_an_output_sized_array(self):
+        # d_out = 6 d_in: the outputs W X would be 6 times the inputs; the site
+        # and one fit may hold copies of X, never an array the size of W X
+        d_in, n_tokens = 16, 20000
+        rng = derive_rng(58)
+        w = rng.normal(size=(6 * d_in, d_in))
+        x = rng.normal(size=(d_in, n_tokens))
+        tracemalloc.start()
+        try:
+            site = OutputAlignedSite(w, x)
+            site.fit(4, FactorizeOptions(epochs=1, batch_tokens=5000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * d_in * n_tokens * 8
 
     def test_zero_norm_outputs_rejected(self):
         w, x, _ = misaligned_instance(431)
@@ -410,18 +427,26 @@ class TestOutputAlignedSite:
                 site.fit(rank)
 
 
+def data_form_gradients(b, c, w, x):
+    """The gradients of 0.5 * ||W x - b c x||^2 from the batch outputs
+    y = W x and the residual b c x - y, without the Gram matrix."""
+    cx = c @ x
+    r = b @ cx - w @ x
+    return r @ cx.T, (b.T @ r) @ x.T
+
+
 class TestGradients:
     def test_matches_central_finite_differences(self):
         rng = derive_rng(56)
         for _ in range(5):
             b = rng.normal(size=(6, 2))
             c = rng.normal(size=(2, 6))
+            w = rng.normal(size=(6, 6))
             x = rng.normal(size=(6, 12))
-            y = rng.normal(size=(6, 12))
-            gb, gc = reconstruction_gradients(b, c, x, y)
+            gb, gc = reconstruction_gradients(b, c, w, x)
 
             def loss(bb, cc):
-                r = y - bb @ cc @ x
+                r = w @ x - bb @ cc @ x
                 return 0.5 * float(np.sum(r * r))
 
             h = 1e-6
@@ -438,6 +463,20 @@ class TestGradients:
                         num[i, j] = (up - down) / (2 * h)
                 denom = max(np.max(np.abs(num)), 1e-12)
                 assert np.max(np.abs(grad - num)) / denom < 1e-6
+
+    @pytest.mark.parametrize("d_out, d_in, rank, n_tokens", [
+        (16, 16, 4, 160), (96, 32, 7, 1000), (32, 64, 31, 50), (64, 32, 1, 5000)])
+    def test_match_the_data_form(self, d_out, d_in, rank, n_tokens):
+        rng = derive_rng(d_out, d_in, rank)
+        w = rng.normal(size=(d_out, d_in))
+        x = rng.normal(size=(d_in, n_tokens))
+        # near the svd_w init, where the residual is small against W x
+        top = np.linalg.svd(w, full_matrices=False)
+        b = top[0][:, :rank] * top[1][:rank] + 1e-3 * rng.normal(size=(d_out, rank))
+        c = top[2][:rank] + 1e-3 * rng.normal(size=(rank, d_in))
+        for got, want in zip(reconstruction_gradients(b, c, w, x),
+                             data_form_gradients(b, c, w, x)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestAnisotropySeparation:

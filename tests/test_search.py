@@ -631,8 +631,6 @@ def test_failed_history_write_keeps_the_earlier_file(tmp_path):
 def test_ga_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population=5, n_uniform_seeds=10)
-    with pytest.raises(ValueError):
-        GaConfig(elitism_count=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         GaConfig(seed=-1)
     with pytest.raises(ValueError, match="stall_generations must be >= 1"):
@@ -648,10 +646,10 @@ def test_ga_config_validation():
 def test_ga_config_rejects_an_empty_population():
     # an empty population leaves ga_search no record to take its best from
     with pytest.raises(ValueError, match="population must be >= 1"):
-        GaConfig(population=0, n_uniform_seeds=0, elitism_count=0)
+        GaConfig(population=0, n_uniform_seeds=0)
     with pytest.raises(ValueError, match=r"n_uniform_seeds must lie in \[0, population\]"):
         GaConfig(n_uniform_seeds=-1)
-    GaConfig(population=1, n_uniform_seeds=0, elitism_count=0)
+    GaConfig(population=1, n_uniform_seeds=0)
 
 
 def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_cache, tiny_task):
