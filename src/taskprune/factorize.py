@@ -22,10 +22,12 @@ so an error costs O(d_out d_in^2) instead of a pass over every token, and
 the closed form is the best rank-R approximation of W L mapped back
 through L's pseudo-inverse: reduced-rank regression (Izenman 1975), which
 is SVD-LLM's truncation-aware whitening (Wang et al., arXiv:2403.07378).
-No method forms Y: a gradient step needs only its batch's Gram x x^T, and
-a reported error is ||E X|| / ||W X|| on the full data, a block of columns
-at a time, because the clipped eigenvalues behind L put a floor of about
-sqrt(eps) under ||E L||, which only ranks iterates.
+No method forms Y: a gradient step needs only its batch's Gram x x^T.
+The clipped eigenvalues behind L put a floor of about sqrt(eps) under
+||E L||, which only ranks iterates. ||W X|| and each calib_error
+||E X|| / ||W X|| come from G = X X^T as sqrt(sum((E G) * E)), and from
+the full data, a block of columns at a time, only where that sum's
+rounding bound exceeds _GRAM_NORM_RTOL of it, as for a near-exact fit.
 
 A gradient step gathers its token batch as rows of a token-major copy of
 X, made once per site, and updates b and c together: they are views into
@@ -56,6 +58,7 @@ UNPRUNED = None
 _RANK_EPS = 1e-9          # floor guard so achieved factors round-trip exactly
 _GRAM_RTOL = 1e-12        # eigenvalues of X X^T below rtol * the largest count as zero
 _NORM_BLOCK = 1024        # columns of X per product when a norm is measured on the full data
+_GRAM_NORM_RTOL = 1e-10   # a Gram-form norm^2 stands while its rounding bound is below this share
 
 
 class Method(str, Enum):
@@ -140,10 +143,9 @@ def _output_norm(m: Matrix, x_cal: Matrix) -> float:
     return math.sqrt(math.fsum(np.sum(np.multiply(p, p, out=p)) for p in blocks))
 
 
-def pair_error(b: Matrix, c: Matrix, x_cal: Matrix, w: Matrix,
-               y_norm: float | None = None) -> float:
-    """||(W - b c) X|| / ||W X||; `y_norm` is ||W X|| when the caller has it."""
-    return _output_norm(w - b @ c, x_cal) / (_output_norm(w, x_cal) if y_norm is None else y_norm)
+def pair_error(b: Matrix, c: Matrix, x_cal: Matrix, w: Matrix) -> float:
+    """||(W - b c) X|| / ||W X||, both measured on the full data."""
+    return _output_norm(w - b @ c, x_cal) / _output_norm(w, x_cal)
 
 
 def _svd_factors(svd: SvdResult) -> tuple[Matrix, Matrix]:
@@ -169,19 +171,20 @@ def reconstruction_gradients(b: Matrix, c: Matrix, w: Matrix, x: Matrix) -> tupl
 class OutputAlignedSite:
     """Every factorization method of one weight, at any number of ranks.
 
-    Construction does the rank-independent work once: the output norm
-    ||W X||, the full SVD of W, sliced per rank for svd_w and GD's
-    initialization, the eigendecomposition of X X^T behind L, pca_x and the
-    closed form (see the module docstring), and a token-major copy of X for
-    the batch gathers. It never forms the outputs W X. Raises
-    DegenerateSiteError when the calibration outputs have zero norm.
+    Construction does the rank-independent work once: the Gram X X^T, the
+    output norm ||W X||, the full SVD of W, sliced per rank for svd_w and
+    GD's initialization, the Gram's eigendecomposition behind L, pca_x and
+    the closed form, and a token-major copy of X for the batch gathers. It
+    never forms W X; norms come from the Gram, and from X only where rounding
+    could spoil that (`_norm`). Raises DegenerateSiteError on zero-norm outputs.
     """
 
     def __init__(self, w: Matrix, x_cal: Matrix):
         if x_cal.ndim != 2 or x_cal.shape[0] != w.shape[1]:
             raise ValueError(f"inputs {x_cal.shape} do not match the weight shape {w.shape}")
         self.w, self.x_cal = w, x_cal
-        self.y_norm = _output_norm(w, x_cal)
+        self.gram = x_cal @ x_cal.T
+        self.y_norm = self._norm(w)
         if self.y_norm == 0.0:
             raise DegenerateSiteError("calibration outputs have zero norm")
         # token-major copy: a batch is then a gather of contiguous rows
@@ -189,7 +192,7 @@ class OutputAlignedSite:
         self.svd = truncated_svd(w, min(w.shape))
         # X X^T is singular for layer-norm-fed sites, which rules out
         # Cholesky; rounding can leave its zero eigenvalues slightly negative
-        eigval, eigvec = np.linalg.eigh(x_cal @ x_cal.T)
+        eigval, eigvec = np.linalg.eigh(self.gram)
         self.l = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
         # the directions pca_x and the closed form keep, largest first; on
         # the benchmark fixtures the root of the direction a layer norm
@@ -197,6 +200,15 @@ class OutputAlignedSite:
         n_kept = int(np.count_nonzero(eigval > eigval[-1] * _GRAM_RTOL))
         self.x_basis = eigvec[:, ::-1][:, :n_kept]
         self.x_root = np.sqrt(eigval[::-1][:n_kept])
+
+    def _norm(self, m: Matrix) -> float:
+        """||m X||_F as sqrt(sum((m G) * m)) over the Gram G, unless that sum's
+        rounding bound 2 (d_in + 1) u sum((|m| |G|) * |m|), u = 2^-53, exceeds
+        _GRAM_NORM_RTOL of it; then on the full data (`_output_norm`)."""
+        sq = float(np.sum((m @ self.gram) * m))
+        am = np.abs(m)
+        bound = (m.shape[1] + 1) * 2.0 ** -52 * float(np.sum((am @ np.abs(self.gram)) * am))
+        return math.sqrt(sq) if bound <= _GRAM_NORM_RTOL * sq else _output_norm(m, self.x_cal)
 
     def error(self, b: Matrix, c: Matrix) -> float:
         """pair_error(b, c, x_cal, W) as ||(W - b c) L|| / ||W X||, above a sqrt(eps) floor."""
@@ -214,8 +226,8 @@ class OutputAlignedSite:
         iterate with the lowest full-data error, evaluated from the per-site
         statistics after every batch. A batch is a gather of rows of the
         token-major copy of X, and b and c live in one packed buffer that one
-        `adam_step` per batch updates. The returned calib_error is measured
-        on the full data for the chosen iterate. No early stopping; a
+        `adam_step` per batch updates. The returned calib_error is the
+        chosen iterate's ||(W - b c) X|| / ||W X|| (`_norm`). No early stopping; a
         non-finite loss (which any non-finite entry of b or c makes) raises
         FactorizationDiverged carrying the best finite iterate.
         """
@@ -291,8 +303,7 @@ class OutputAlignedSite:
     def _result(self, b: Matrix, c: Matrix, rank: int,
                 method: Method = Method.OUTPUT_ALIGNED_GD) -> FactorizedMatrix:
         d_out, d_in = self.w.shape
-        return FactorizedMatrix(b, c, rank, method,
-                                pair_error(b, c, self.x_cal, self.w, self.y_norm),
+        return FactorizedMatrix(b, c, rank, method, self._norm(self.w - b @ c) / self.y_norm,
                                 achieved_factor(rank, d_in, d_out))
 
 

@@ -131,14 +131,18 @@ def evaluate(model, task: TaskSpec, reuse: dict | None = None) -> EvalResult:
     Each decode is verified against its expected string up to the stop byte
     (see greedy_decode_batch): it is only followed up to its first token off
     that target, which decides its verdict. `reuse` is passed on to
-    greedy_decode_batch.
+    greedy_decode_batch; the targets are kept in it beside their layout.
     """
     if task.mode is not TaskMode.EXACT_MATCH:
         raise ValueError(f"evaluate needs an EXACT_MATCH task, not {task.mode.value}; "
                          f"resolve it with exact_match_task first")
-    targets = [e.partition(bytes([STOP_BYTE]))[0] for e in task.expected]
+    reuse = {} if reuse is None else reuse
+    seen, targets = reuse.get("targets", (None, None))
+    if seen != task.expected:
+        targets = [e.partition(bytes([STOP_BYTE]))[0] for e in task.expected]
     decoded_all = greedy_decode_batch(model, task.prompts, task.max_new_tokens,
                                       expected=targets, reuse=reuse)
+    reuse["targets"] = (task.expected, targets)   # after the call, which clears a new layout's dict
     verdicts = tuple(bytes(decoded) == target for decoded, target in zip(decoded_all, targets))
     return EvalResult(accuracy=sum(verdicts) / len(verdicts), verdicts=verdicts)
 

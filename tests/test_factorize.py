@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskprune import factorize
+from taskprune.calibrate import build_cache
 from taskprune.factorize import (
     UNPRUNED,
     DegenerateSiteError,
@@ -396,7 +397,49 @@ class TestOutputAlignedSite:
             a = site.fit(rank, opts)
             b = factorize_output_aligned(w, x, rank, opts)
             assert np.array_equal(a.b, b.b) and np.array_equal(a.c, b.c)
-            assert a.calib_error == b.calib_error == pair_error(a.b, a.c, x, w)
+            assert a.calib_error == b.calib_error
+            # the site's Gram form against the full-data oracle
+            assert a.calib_error == pytest.approx(pair_error(a.b, a.c, x, w), rel=1e-12)
+
+    @staticmethod
+    def count_full_data_norms(monkeypatch) -> list[int]:
+        calls = [0]
+        real = factorize._output_norm
+
+        def counted(m, x_cal):
+            calls[0] += 1
+            return real(m, x_cal)
+
+        monkeypatch.setattr(factorize, "_output_norm", counted)
+        return calls
+
+    def test_cache_build_takes_every_norm_from_the_gram(self, tiny_model, tiny_capture,
+                                                         monkeypatch):
+        calls = self.count_full_data_norms(monkeypatch)
+        opts = FactorizeOptions(epochs=6, batch_tokens=500, learning_rate=0.003, seed=3)
+        cache = build_cache(tiny_model, tiny_capture, opts=opts, workers=4)
+        built = [(site, fm) for (site, _), fm in cache.entries.items() if fm is not None]
+        assert len(built) == 72 and calls[0] == 0
+        monkeypatch.undo()
+        for site, fm in built:
+            want = pair_error(fm.b, fm.c, tiny_capture.inputs[site], tiny_model.site_weight(site))
+            assert fm.calib_error == pytest.approx(want, rel=1e-12)
+
+    def test_exact_low_rank_fits_measure_their_error_on_the_data(self, monkeypatch):
+        # a residual that cancels below the rounding of W X fails the Gram
+        # form's rounding bound, so the norm is remeasured on X
+        rng = derive_rng(59)
+        w = rng.normal(size=(8, 8))
+        x = np.linalg.qr(rng.normal(size=(8, 3)))[0] @ rng.normal(size=(3, 50))
+        site = OutputAlignedSite(w, x)
+        real = factorize._output_norm
+        calls = self.count_full_data_norms(monkeypatch)
+        for fm in (site.pca_x(3), site.closed_form(3)):
+            assert fm.calib_error == real(w - fm.b @ fm.c, x) / site.y_norm
+            assert fm.calib_error < 1e-9
+        assert calls[0] == 2
+        site.svd_w(3)
+        assert calls[0] == 2    # an inexact fit keeps the Gram form
 
     def test_fit_never_holds_an_output_sized_array(self):
         # d_out = 6 d_in: the outputs W X would be 6 times the inputs; the site

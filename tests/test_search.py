@@ -151,6 +151,29 @@ class TestEvaluate:
         task = TaskSpec(TaskMode.EXACT_MATCH, prompts, [decoded + b"\x00garbage"], 3, 0.0)
         assert evaluate(tiny_model, task).accuracy == 1.0
 
+    def test_shared_reuse_cuts_each_tasks_targets_once(self, tiny_model, tiny_letters):
+        # two tasks on one reuse dict, their expected strings differing in
+        # one byte and past a stop byte: each call scores as a fresh one
+        rng = derive_rng(73)
+        prompts = [bytes(rng.choice(tiny_letters, size=6).tolist()) for _ in range(4)]
+        probe = TaskSpec(TaskMode.BASELINE_AGREEMENT, prompts, None, 3, 0.0)
+        decoded = exact_match_task(tiny_model, probe).expected
+        right = TaskSpec(TaskMode.EXACT_MATCH, prompts, [d + b"\x00a" for d in decoded], 3, 0.0)
+        wrong = dataclasses.replace(right, expected=[d[:-1] + bytes([d[-1] % 255 + 1])
+                                                     for d in decoded])
+        reuse: dict = {}
+        last = None
+        for task in (right, right, wrong, wrong, right):
+            seen = reuse.get("targets", (None, None))[1]
+            assert evaluate(tiny_model, task, reuse) == evaluate(tiny_model, task)
+            assert reuse["targets"][0] is task.expected
+            # the same task again reuses its target list; another one cuts anew
+            assert (reuse["targets"][1] is seen) == (task is last)
+            last = task
+        assert reuse["targets"][1] == list(decoded)
+        assert evaluate(tiny_model, right).accuracy == 1.0
+        assert evaluate(tiny_model, wrong).accuracy == 0.0
+
 
 class TestThreshold:
     def test_formula(self):
