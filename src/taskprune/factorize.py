@@ -12,22 +12,22 @@ one weight, from one SVD of W and one eigendecomposition of X X^T:
                   quality oracle for the learned method (method RRR_ORACLE).
 - output_aligned: gradient descent on both factors against the layer's
                   outputs, initialized from svd_w, keeping the
-                  best-so-far iterate by full-data error (`fit`).
+                  best-so-far iterate by calib_error (`fit`).
 
-With the outputs of the dense site Y = W X, E = W - b c and X X^T = L L^T,
+With the outputs of the dense site Y = W X, E = W - b c and G = X X^T,
 
-    ||Y - b c X||^2 = ||E L||^2,
+    ||Y - b c X||^2 = sum((E G) * E),
 
-so an error costs O(d_out d_in^2) instead of a pass over every token, and
-the closed form is the best rank-R approximation of W L mapped back
-through L's pseudo-inverse: reduced-rank regression (Izenman 1975), which
-is SVD-LLM's truncation-aware whitening (Wang et al., arXiv:2403.07378).
-No method forms Y: a gradient step needs only its batch's Gram x x^T.
-The clipped eigenvalues behind L put a floor of about sqrt(eps) under
-||E L||, which only ranks iterates. ||W X|| and each calib_error
-||E X|| / ||W X|| come from G = X X^T as sqrt(sum((E G) * E)), and from
-the full data, a block of columns at a time, only where that sum's
-rounding bound exceeds _GRAM_NORM_RTOL of it, as for a near-exact fit.
+so an error costs O(d_out d_in^2) instead of a pass over every token. This
+one form gives ||W X||, every calib_error ||E X|| / ||W X|| and the
+statistic `fit` ranks its iterates by, so a fit's calib_error is its
+ranking statistic; only where the sum's rounding bound exceeds
+_GRAM_NORM_RTOL of it, as for a near-exact fit, is a norm taken from the
+full data, a block of columns at a time. The closed form is the best
+rank-R approximation of W G^(1/2) mapped back through its pseudo-inverse:
+reduced-rank regression (Izenman 1975), which is SVD-LLM's truncation-aware
+whitening (Wang et al., arXiv:2403.07378). No method forms Y: a gradient
+step needs only its batch's Gram x x^T.
 
 A gradient step gathers its token batch as rows of a token-major copy of
 X, made once per site, and updates b and c together: they are views into
@@ -173,10 +173,11 @@ class OutputAlignedSite:
 
     Construction does the rank-independent work once: the Gram X X^T, the
     output norm ||W X||, the full SVD of W, sliced per rank for svd_w and
-    GD's initialization, the Gram's eigendecomposition behind L, pca_x and
-    the closed form, and a token-major copy of X for the batch gathers. It
-    never forms W X; norms come from the Gram, and from X only where rounding
-    could spoil that (`_norm`). Raises DegenerateSiteError on zero-norm outputs.
+    GD's initialization, the Gram's eigendecomposition behind pca_x and the
+    closed form, and a token-major copy of X for the batch gathers. It never
+    forms W X; errors come from the Gram (`_gram_sq`), and norms from X only
+    where rounding could spoil that (`_norm`). Raises DegenerateSiteError on
+    zero-norm outputs.
     """
 
     def __init__(self, w: Matrix, x_cal: Matrix):
@@ -193,7 +194,6 @@ class OutputAlignedSite:
         # X X^T is singular for layer-norm-fed sites, which rules out
         # Cholesky; rounding can leave its zero eigenvalues slightly negative
         eigval, eigvec = np.linalg.eigh(self.gram)
-        self.l = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
         # the directions pca_x and the closed form keep, largest first; on
         # the benchmark fixtures the root of the direction a layer norm
         # leaves empty is <= 2.1e-8 of the largest, the weakest kept >= 3.7e-5
@@ -201,33 +201,36 @@ class OutputAlignedSite:
         self.x_basis = eigvec[:, ::-1][:, :n_kept]
         self.x_root = np.sqrt(eigval[::-1][:n_kept])
 
+    def _gram_sq(self, m: Matrix) -> float:
+        """||m X||_F^2 as sum((m G) * m) over the Gram G."""
+        return float(np.sum((m @ self.gram) * m))
+
     def _norm(self, m: Matrix) -> float:
-        """||m X||_F as sqrt(sum((m G) * m)) over the Gram G, unless that sum's
-        rounding bound 2 (d_in + 1) u sum((|m| |G|) * |m|), u = 2^-53, exceeds
+        """||m X||_F as sqrt(`_gram_sq`), unless that sum's rounding bound
+        2 (d_in + 1) u sum((|m| |G|) * |m|), u = 2^-53, exceeds
         _GRAM_NORM_RTOL of it; then on the full data (`_output_norm`)."""
-        sq = float(np.sum((m @ self.gram) * m))
+        sq = self._gram_sq(m)
         am = np.abs(m)
         bound = (m.shape[1] + 1) * 2.0 ** -52 * float(np.sum((am @ np.abs(self.gram)) * am))
         return math.sqrt(sq) if bound <= _GRAM_NORM_RTOL * sq else _output_norm(m, self.x_cal)
 
     def error(self, b: Matrix, c: Matrix) -> float:
-        """pair_error(b, c, x_cal, W) as ||(W - b c) L|| / ||W X||, above a sqrt(eps) floor."""
-        el = (self.w - b @ c) @ self.l
-        return math.sqrt(float(np.sum(el * el))) / self.y_norm
+        """pair_error(b, c, x_cal, W) from the Gram alone: the calib_error
+        `_result` records wherever `_norm`'s rounding bound holds. A sum that
+        rounding leaves below 0 reads as 0; a non-finite one as NaN."""
+        sq = self._gram_sq(self.w - b @ c)
+        return math.sqrt(max(sq, 0.0)) / self.y_norm if math.isfinite(sq) else math.nan
 
-    def fit(
-        self, rank: int, opts: FactorizeOptions | None = None,
-        _trace: list[float] | None = None,
-    ) -> FactorizedMatrix:
+    def fit(self, rank: int, opts: FactorizeOptions | None = None) -> FactorizedMatrix:
         """Learn (b, c) of one rank by Adam on the output reconstruction error.
 
         Starts from the svd_w factors, runs `opts.epochs` passes over
         shuffled token batches of `opts.batch_tokens` columns, and keeps the
-        iterate with the lowest full-data error, evaluated from the per-site
-        statistics after every batch. A batch is a gather of rows of the
-        token-major copy of X, and b and c live in one packed buffer that one
-        `adam_step` per batch updates. The returned calib_error is the
-        chosen iterate's ||(W - b c) X|| / ||W X|| (`_norm`). No early stopping; a
+        iterate of lowest `error`, taken after every batch. A batch is a
+        gather of rows of the token-major copy of X, and b and c live in one
+        packed buffer that one `adam_step` per batch updates. The returned
+        calib_error (`_norm`) is the chosen iterate's `error` bit for bit
+        unless rounding sends `_norm` to the full data. No early stopping; a
         non-finite loss (which any non-finite entry of b or c makes) raises
         FactorizationDiverged carrying the best finite iterate.
         """
@@ -266,8 +269,6 @@ class OutputAlignedSite:
                     if err < best_err:
                         best_err = err
                         best[...] = params
-                    if _trace is not None:
-                        _trace.append(best_err)
 
         return self._result(*split(best), rank)
 
@@ -287,10 +288,10 @@ class OutputAlignedSite:
         return self._result(self.w @ p, p.T.copy(), rank, Method.PCA_X)
 
     def closed_form(self, rank: int) -> FactorizedMatrix:
-        """The minimizer of ||W X - b c X||_F: with W L = U S Q^T over the
-        kept directions, b = U_r sqrt(S_r) and c = sqrt(S_r) Q_r^T L^+. The
-        rank is capped at the number of kept directions of X, of which
-        construction leaves at least one."""
+        """The minimizer of ||W X - b c X||_F: with W L = U S Q^T for the
+        root L = x_basis diag(x_root) of X X^T over the kept directions,
+        b = U_r sqrt(S_r) and c = sqrt(S_r) Q_r^T L^+. The rank is capped at
+        the number of kept directions, of which construction leaves >= 1."""
         self._check_rank(rank)
         rank = min(rank, self.x_root.size)
         b, q = _svd_factors(truncated_svd((self.w @ self.x_basis) * self.x_root, rank))
@@ -312,8 +313,7 @@ def factorize_output_aligned(
     x_cal: Matrix,
     rank: int,
     opts: FactorizeOptions | None = None,
-    _trace: list[float] | None = None,
 ) -> FactorizedMatrix:
     """OutputAlignedSite.fit at one rank; kept by name because
     perfbench/spans.py traces it through calibrate."""
-    return OutputAlignedSite(w, x_cal).fit(rank, opts, _trace)
+    return OutputAlignedSite(w, x_cal).fit(rank, opts)

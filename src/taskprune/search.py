@@ -49,6 +49,7 @@ CROSSOVER_PROB = 0.5      # ga_search: one-point crossover per pair of parents
 MUTATION_PROB = 0.2       # ga_search: a +-1 level step per gene
 STALL_IMPROVEMENT = 0.05  # ga_search: a generation stalls below this relative gain
 ELITISM_COUNT = 1         # ga_search: the best vectors carried on unchanged
+N_UNIFORM_SEEDS = 10      # ga_search: uniform vectors that open the initial population
 FITNESS_WINDOW = 0.8      # bottleneck_analysis: top = fitness >= this share of the best
 
 
@@ -311,7 +312,6 @@ def binary_search_uniform(
 @dataclass
 class GaConfig:
     population: int = 100
-    n_uniform_seeds: int = 10
     stall_generations: int = 10
     seed: int = 0
     workers: int = 1
@@ -320,8 +320,6 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.population < 1:
             raise ValueError("population must be >= 1")
-        if not 0 <= self.n_uniform_seeds <= self.population:
-            raise ValueError("n_uniform_seeds must lie in [0, population]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.workers < 1:
@@ -408,9 +406,9 @@ def ga_search(
     resumed = len(memo)
     history: list[EvalRecord] = []
 
-    # Initial population: one uniform chromosome per factor level, the rest
-    # with genes drawn uniformly from the grid.
-    population = [(i,) * n_sites for i in range(min(cfg.n_uniform_seeds, n_levels))]
+    # Initial population: up to N_UNIFORM_SEEDS uniform chromosomes, one per
+    # factor level, the rest with genes drawn uniformly from the grid.
+    population = [(i,) * n_sites for i in range(min(N_UNIFORM_SEEDS, n_levels, cfg.population))]
     while len(population) < cfg.population:
         population.append(tuple(int(g) for g in rng.integers(0, n_levels, size=n_sites)))
 

@@ -232,14 +232,14 @@ class TestOutputAlignedGd:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             FactorizeOptions(seed=-1)
 
-    def test_best_so_far_non_increasing(self):
+    def test_result_is_the_least_error_seen(self, monkeypatch):
         w, x, y = misaligned_instance(52)
-        trace: list[float] = []
-        factorize_output_aligned(w, x, 4,
-                                 FactorizeOptions(epochs=40, batch_tokens=32, seed=1),
-                                 _trace=trace)
-        assert len(trace) > 10
-        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        seen = record_errors(monkeypatch)
+        fm = factorize_output_aligned(w, x, 4,
+                                      FactorizeOptions(epochs=40, batch_tokens=32, seed=1))
+        assert len(seen) > 10
+        assert min(seen) < seen[0]      # the descent moved off the init
+        assert fm.calib_error == min(seen)
 
     def test_deterministic_given_seed(self):
         w, x, y = misaligned_instance(53)
@@ -268,7 +268,21 @@ class TestOutputAlignedGd:
                 factorize_output_aligned(w, x, 2)
 
 
-def unpacked_fit(site, rank, opts, trace):
+def record_errors(monkeypatch) -> list[float]:
+    """Every value that OutputAlignedSite.error returns from now on, in order."""
+    seen: list[float] = []
+    real = OutputAlignedSite.error
+
+    def recorded(self, b, c):
+        err = real(self, b, c)
+        seen.append(err)
+        return err
+
+    monkeypatch.setattr(OutputAlignedSite, "error", recorded)
+    return seen
+
+
+def unpacked_fit(site, rank, opts):
     """The gradient-descent loop with one Adam state per factor, batches
     gathered as columns of the (d_in, T) calibration inputs and explicit isfinite
     scans; `OutputAlignedSite.fit` must reproduce it bit for bit."""
@@ -296,7 +310,6 @@ def unpacked_fit(site, rank, opts, trace):
                 if err < best_err:
                     best_err = err
                     best = (b.copy(), c.copy())
-                trace.append(best_err)
     return site._result(*best, rank)
 
 
@@ -313,22 +326,24 @@ class TestPackedStep:
     N_TOKENS = 240
 
     @pytest.mark.parametrize("d_out, d_in", [(96, 32), (32, 64), (64, 32)])
-    def test_bit_identical_to_one_adam_state_per_factor(self, d_out, d_in):
+    def test_bit_identical_to_one_adam_state_per_factor(self, d_out, d_in, monkeypatch):
         site = decaying_site(d_out, d_in, self.N_TOKENS, seed=d_out + d_in)
+        seen = record_errors(monkeypatch)
         for rank in (1, 7, min(d_out, d_in) - 1):
             # batches dividing T, not dividing it, and larger than T
             for batch in (60, 70, 500):
                 for epochs in (1, 3):
                     opts = FactorizeOptions(epochs=epochs, batch_tokens=batch,
                                             learning_rate=0.01, seed=rank + batch)
-                    want_trace: list[float] = []
-                    got_trace: list[float] = []
-                    want = unpacked_fit(site, rank, opts, want_trace)
-                    got = site.fit(rank, opts, _trace=got_trace)
+                    seen.clear()
+                    want = unpacked_fit(site, rank, opts)
+                    want_errors = seen[:]
+                    seen.clear()
+                    got = site.fit(rank, opts)
                     assert np.array_equal(got.b, want.b)
                     assert np.array_equal(got.c, want.c)
                     assert got.calib_error == want.calib_error
-                    assert got_trace == want_trace
+                    assert seen == want_errors
 
     @pytest.mark.parametrize("block", ["b", "c"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -348,7 +363,7 @@ class TestPackedStep:
 
         monkeypatch.setattr(factorize, "reconstruction_gradients", poisoned)
         bests = []
-        for fit in (lambda: unpacked_fit(site, 4, opts, []), lambda: site.fit(4, opts)):
+        for fit in (lambda: unpacked_fit(site, 4, opts), lambda: site.fit(4, opts)):
             calls.clear()
             with pytest.raises(FactorizationDiverged) as exc:
                 fit()
@@ -424,6 +439,38 @@ class TestOutputAlignedSite:
         for site, fm in built:
             want = pair_error(fm.b, fm.c, tiny_capture.inputs[site], tiny_model.site_weight(site))
             assert fm.calib_error == pytest.approx(want, rel=1e-12)
+
+    def test_every_entry_records_the_error_fit_ranked_it_by(self, tiny_model, tiny_capture,
+                                                             tiny_cache):
+        built = [(site, fm) for (site, _), fm in tiny_cache.entries.items() if fm is not None]
+        assert len(built) == 72
+        by_site = {site: OutputAlignedSite(tiny_model.site_weight(site), tiny_capture.inputs[site])
+                   for site in {site for site, _ in built}}
+        for site, fm in built:
+            assert by_site[site].error(fm.b, fm.c) == fm.calib_error
+        for site in by_site.values():
+            for rank in range(1, site.svd.sigma.size + 1):
+                fm = site.svd_w(rank)
+                assert site.error(fm.b, fm.c) == fm.calib_error
+
+    def test_a_sum_rounded_below_zero_reads_as_zero(self):
+        # residuals in the null space of a rank-3 Gram: sum((E G) * E) is
+        # rounding noise of either sign
+        rng = derive_rng(60)
+        w = rng.normal(size=(8, 8))
+        basis = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+        site = OutputAlignedSite(w, basis[:, :3] @ rng.normal(size=(3, 50)))
+        null = basis[:, 3:] @ basis[:, 3:].T
+        negative = 0
+        for _ in range(20):
+            b = w - rng.normal(size=(8, 8)) @ null
+            sq = site._gram_sq(w - b @ np.eye(8))
+            err = site.error(b, np.eye(8))
+            assert err >= 0.0
+            if sq < 0.0:
+                negative += 1
+                assert err == 0.0
+        assert negative > 0
 
     def test_exact_low_rank_fits_measure_their_error_on_the_data(self, monkeypatch):
         # a residual that cancels below the rounding of W X fails the Gram

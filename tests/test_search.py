@@ -395,12 +395,14 @@ class TestGaSearch:
                 return EvalResult(accuracy=1.0, verdicts=(True,))
             return EvalResult(accuracy=0.0, verdicts=(False,))
 
-        cfg = GaConfig(population=12, n_uniform_seeds=0, seed=9,
-                       stall_generations=2, max_generations=3)
+        cfg = GaConfig(population=12, seed=9, stall_generations=2, max_generations=3)
         import logging
         with caplog.at_level(logging.WARNING, logger="taskprune.search"):
             result = ga_search(tiny_model, tiny_cache, task, cfg, eval_fn=ev)
         assert not result.feasible
+        # the unpruned uniform vector opens the population and scores 0 too
+        assert (0,) * 8 in [rec.genes for rec in result.history]
+        assert all(rec.accuracy == 0.0 for rec in result.history)
         assert any("threshold" in rec.message for rec in caplog.records)
 
     def test_best_is_the_earliest_record_of_highest_fitness(self, tiny_model, tiny_cache,
@@ -652,8 +654,6 @@ def test_failed_history_write_keeps_the_earlier_file(tmp_path):
 
 
 def test_ga_config_validation():
-    with pytest.raises(ValueError):
-        GaConfig(population=5, n_uniform_seeds=10)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         GaConfig(seed=-1)
     with pytest.raises(ValueError, match="stall_generations must be >= 1"):
@@ -666,13 +666,16 @@ def test_ga_config_validation():
     GaConfig(max_generations=None)      # no limit
 
 
-def test_ga_config_rejects_an_empty_population():
+def test_ga_config_rejects_an_empty_population(tiny_model, tiny_cache, tiny_task):
     # an empty population leaves ga_search no record to take its best from
     with pytest.raises(ValueError, match="population must be >= 1"):
-        GaConfig(population=0, n_uniform_seeds=0)
-    with pytest.raises(ValueError, match=r"n_uniform_seeds must lie in \[0, population\]"):
-        GaConfig(n_uniform_seeds=-1)
-    GaConfig(population=1, n_uniform_seeds=0)
+        GaConfig(population=0)
+    # a population of one is its first uniform vector, then the elite alone
+    cfg = GaConfig(population=1, stall_generations=10, max_generations=3)
+    result = ga_search(tiny_model, tiny_cache, tiny_task, cfg,
+                       eval_fn=lambda vector: EvalResult(accuracy=1.0, verdicts=(True,)))
+    assert [rec.generation for rec in result.history] == [0, 1, 2]
+    assert result.history[0].genes == (0,) * 8
 
 
 def test_eval_fn_shared_by_threads_matches_fresh_evaluations(tiny_model, tiny_cache, tiny_task):
