@@ -278,7 +278,7 @@ def build_cache(
     check_workers(workers)
     opts = opts or FactorizeOptions()
     model_fp = model_fingerprint(model)
-    if capture.model_fingerprint and capture.model_fingerprint != model_fp:
+    if capture.model_fingerprint != model_fp:
         raise CacheMismatchError("capture was recorded from a different model")
 
     site_list = sites(model.config)

@@ -192,8 +192,8 @@ class ActivationCapture:
     inputs: dict[SiteId, Matrix]
     weights: dict[SiteId, Matrix]
     tokens: int
-    model_fingerprint: str = ""
-    corpus_fingerprint: str = ""
+    model_fingerprint: str
+    corpus_fingerprint: str
 
     @property
     def entries(self) -> Mapping[SiteId, tuple[Matrix, Matrix]]:
@@ -280,18 +280,16 @@ def _causal_mask(n_q: int, n_k: int) -> np.ndarray:
     return mask
 
 
-def _attention(qkv: np.ndarray, n_heads: int, kv: np.ndarray | None = None) -> np.ndarray:
+def _attention(qkv: np.ndarray, n_heads: int, kv: np.ndarray) -> np.ndarray:
     """Causal scaled dot-product attention over a (batch, seq, 3*d) block of
     packed q/k/v rows; returns the concatenated heads, (batch, seq, d).
 
-    `kv`, when given, holds the packed k|v rows (batch, n_k, 2*d) of every
-    position up to and including this block's own, which are the last seq
-    of them; without it the block attends to itself.
+    `kv` holds the packed k|v rows (batch, n_k, 2*d) of every position up to
+    and including this block's own, which are the last seq of them; a block
+    that attends to itself alone passes its own `qkv[..., d:]`.
     """
     d_model = qkv.shape[-1] // 3
     head_dim = d_model // n_heads
-    if kv is None:
-        kv = qkv[..., d_model:]
     q, k, v = qkv[..., :d_model], kv[..., :d_model], kv[..., d_model:]
     n_q, n_k = q.shape[1], k.shape[1]
     mask = _causal_mask(n_q, n_k)
@@ -440,8 +438,8 @@ def forward(
     tokens: Sequence[int],
     taps: set[SiteId] | frozenset[SiteId] | None = None,
 ) -> tuple[Matrix, ActivationCapture | None]:
-    """Logits at every position of one sequence, and the capture of the
-    tapped sites (None without taps), with the base model's dense weights."""
+    """Logits at every position of one sequence, and the capture of the tapped sites
+    (None without taps), with dense weights and fingerprints as capture_calibration's."""
     base: ModelWeights = getattr(model, "base", model)
     check_prompts(base.config, [tokens], 0)
     x, inputs = _transformer(model, np.asarray(tokens, dtype=np.int64).reshape(1, -1), taps)
@@ -449,7 +447,9 @@ def forward(
     if not taps:
         return logits, None
     inputs = {site: np.ascontiguousarray(rows[0].T) for site, rows in inputs.items()}
-    return logits, ActivationCapture(inputs, {s: base.site_weight(s) for s in inputs}, len(tokens))
+    corpus_fp = hashlib.sha256(bytes(list(tokens))).hexdigest()
+    return logits, ActivationCapture(inputs, {s: base.site_weight(s) for s in inputs}, len(tokens),
+                                     model_fingerprint(base), corpus_fp)
 
 
 def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
@@ -473,14 +473,14 @@ def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,
     first tokens, and K/V steps the rest. Only the rows whose logits are
     read run through the last layer (see `_transformer`'s `read_from`).
 
-    `reuse`, a dict that a call with `expected` reads and updates, keeps the
-    blocks' layout, built once per prompts, expected strings and max_new
-    (held by reference: edit no prompt in place), and per block each site's
-    weights and the states after all sites but the last. A later call on the
-    same layout whose leading sites have the same weights (the same objects)
-    resumes after the last of them, so a vector restarts at its first
-    changed site. A free decode uses a dict of its own: a resumed pass would
-    leave the steps' K/V cache short.
+    `reuse`, a dict of the decoder's own keys, which a call with `expected`
+    reads and updates, keeps the blocks' layout, built once per prompts,
+    expected strings and max_new (held by reference: edit no prompt in
+    place), and per block each site's weights and the states after all sites
+    but the last. A later call on the same layout whose leading sites have
+    the same weights (the same objects) resumes after the last of them, so a
+    vector restarts at its first changed site. A free decode uses a dict of
+    its own: a resumed pass would leave the steps' K/V cache short.
     """
     base: ModelWeights = getattr(model, "base", model)
     width = 0 if expected is None else max_new - 1

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -72,9 +73,9 @@ class TaskSpec:
         if self.mode is TaskMode.EXACT_MATCH:
             if self.expected is None or len(self.expected) != len(self.prompts):
                 raise ValueError("EXACT_MATCH needs one expected string per prompt")
-            for i, e in enumerate(self.expected):
+            for i, target in enumerate(self.targets):
                 # a decode never holds more than max_new_tokens bytes
-                if len(e.partition(bytes([STOP_BYTE]))[0]) > self.max_new_tokens:
+                if len(target) > self.max_new_tokens:
                     raise ValueError(
                         f"expected string {i} is longer than max_new_tokens "
                         f"({self.max_new_tokens}) and can never match"
@@ -83,6 +84,11 @@ class TaskSpec:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
+
+    @functools.cached_property
+    def targets(self) -> list[bytes]:
+        """Each expected string up to its first STOP_BYTE; `expected` stays as given."""
+        return [e.partition(bytes([STOP_BYTE]))[0] for e in self.expected]
 
     def to_dict(self) -> dict:
         # latin-1 maps every byte value to one code point, so arbitrary
@@ -129,22 +135,16 @@ def exact_match_task(model, task: TaskSpec) -> TaskSpec:
 def evaluate(model, task: TaskSpec, reuse: dict | None = None) -> EvalResult:
     """Deterministic accuracy of an EXACT_MATCH task = correct decodes / prompts.
 
-    Each decode is verified against its expected string up to the stop byte
-    (see greedy_decode_batch): it is only followed up to its first token off
-    that target, which decides its verdict. `reuse` is passed on to
-    greedy_decode_batch; the targets are kept in it beside their layout.
+    Each decode is verified against its target in `task.targets` (see
+    greedy_decode_batch): it is only followed up to its first token off that
+    target, which decides its verdict. `reuse` goes to greedy_decode_batch.
     """
     if task.mode is not TaskMode.EXACT_MATCH:
         raise ValueError(f"evaluate needs an EXACT_MATCH task, not {task.mode.value}; "
                          f"resolve it with exact_match_task first")
-    reuse = {} if reuse is None else reuse
-    seen, targets = reuse.get("targets", (None, None))
-    if seen != task.expected:
-        targets = [e.partition(bytes([STOP_BYTE]))[0] for e in task.expected]
     decoded_all = greedy_decode_batch(model, task.prompts, task.max_new_tokens,
-                                      expected=targets, reuse=reuse)
-    reuse["targets"] = (task.expected, targets)   # after the call, which clears a new layout's dict
-    verdicts = tuple(bytes(decoded) == target for decoded, target in zip(decoded_all, targets))
+                                      expected=task.targets, reuse=reuse)
+    verdicts = tuple(bytes(decoded) == target for decoded, target in zip(decoded_all, task.targets))
     return EvalResult(accuracy=sum(verdicts) / len(verdicts), verdicts=verdicts)
 
 

@@ -390,6 +390,16 @@ class TestBuildCache:
         with pytest.raises(CacheMismatchError):
             build_cache(other, tiny_capture, FactorSet((1.0, 0.5)))
 
+    def test_forward_capture_names_its_model(self, tiny_model):
+        tokens = derive_rng(74).integers(1, 64, size=tiny_model.config.max_seq_len).tolist()
+        _, cap = forward(tiny_model, tokens, taps=frozenset(sites(tiny_model.config)))
+        ref = capture_calibration(tiny_model, tokens, min_tokens=len(tokens))
+        assert (cap.model_fingerprint, cap.corpus_fingerprint) == (ref.model_fingerprint,
+                                                                   ref.corpus_fingerprint)
+        other = tp.random_model(tiny_model.config, seed=999)
+        with pytest.raises(CacheMismatchError):
+            build_cache(other, cap, FactorSet((1.0, 0.5)))
+
     def test_divergent_entries_flagged_and_degrade_to_dense(self, tiny_model, tiny_capture):
         bad = FactorizeOptions(epochs=1, batch_tokens=2500, learning_rate=1e160, seed=0)
         cache = build_cache(tiny_model, tiny_capture, FactorSet((1.0, 0.5)), bad, workers=2)

@@ -186,7 +186,8 @@ class TestForward:
 def attention(q, k, v):
     """The attention helper on one sequence and one head: q, k and v are
     packed as a (1, seq, 3*head_dim) block."""
-    return _attention(np.concatenate([q, k, v], axis=1)[None], 1)[0]
+    qkv = np.concatenate([q, k, v], axis=1)[None]
+    return _attention(qkv, 1, qkv[..., q.shape[1]:])[0]
 
 
 class TestAttention:
@@ -249,7 +250,9 @@ class TestAttention:
         tap_set = frozenset({SiteId(0, SiteKind.QKV), SiteId(0, SiteKind.OUT)})
         _, cap = forward(tiny_model, tokens, taps=tap_set)
         qkv = (tiny_model.layers[0].w_qkv @ cap.inputs[SiteId(0, SiteKind.QKV)]).T
-        out = _attention(qkv[None], tiny_model.config.n_heads)[0] @ tiny_model.layers[0].w_out.T
+        d = tiny_model.config.d_model
+        out = _attention(qkv[None], tiny_model.config.n_heads, qkv[None, :, d:])[0]
+        out = out @ tiny_model.layers[0].w_out.T
         want = (tiny_model.layers[0].w_out @ cap.inputs[SiteId(0, SiteKind.OUT)]).T
         np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -445,7 +448,8 @@ def layer_loop_reference(model, ids):
     x = base.embed[ids] + base.pos_embed[:ids.shape[1]]
     for li, layer in enumerate(base.layers):
         h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
-        heads = _attention(product(li, SiteKind.QKV, h), base.config.n_heads)
+        qkv = product(li, SiteKind.QKV, h)
+        heads = _attention(qkv, base.config.n_heads, qkv[..., base.config.d_model:])
         x = x + product(li, SiteKind.OUT, heads)
         h2 = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
         act = gelu(product(li, SiteKind.FFN1, h2) + layer.b_ffn1)

@@ -25,7 +25,7 @@ from taskprune.calibrate import (
     compression_ratio,
 )
 from taskprune.linalg import derive_rng
-from taskprune.model import FormatError
+from taskprune.model import FormatError, greedy_decode_batch
 from taskprune.search import (
     EvalRecord,
     EvalResult,
@@ -69,6 +69,14 @@ class TestTaskSpec:
             TaskSpec(TaskMode.EXACT_MATCH, [b"a", b"b"], [b"xyz", b"xyzw"], 3, 0.05)
         # the expected string counts only up to the stop byte
         TaskSpec(TaskMode.EXACT_MATCH, [b"a", b"b"], [b"xyz", b"xyz\x00tail"], 3, 0.05)
+
+    def test_targets_are_cut_once_and_expected_is_kept(self):
+        task = TaskSpec(TaskMode.EXACT_MATCH, [b"a", b"b"], [b"xyz", b"xy\x00tail"], 3, 0.05)
+        assert task.targets == [b"xyz", b"xy"]
+        assert task.targets is task.targets
+        copy = dataclasses.replace(task)
+        assert copy.targets == task.targets and copy.targets is not task.targets
+        assert task.to_dict()["expected"] == ["xyz", "xy\u0000tail"]
 
     def test_json_round_trip(self, tmp_path):
         task = TaskSpec(TaskMode.EXACT_MATCH, [b"hello", b"there"],
@@ -151,7 +159,16 @@ class TestEvaluate:
         task = TaskSpec(TaskMode.EXACT_MATCH, prompts, [decoded + b"\x00garbage"], 3, 0.0)
         assert evaluate(tiny_model, task).accuracy == 1.0
 
-    def test_shared_reuse_cuts_each_tasks_targets_once(self, tiny_model, tiny_letters):
+    def test_evaluate_keeps_only_the_decoders_keys_in_reuse(self, tiny_model, tiny_task):
+        task = exact_match_task(tiny_model, tiny_task)
+        r1: dict = {}
+        r2: dict = {}
+        evaluate(tiny_model, task, r1)
+        greedy_decode_batch(tiny_model, task.prompts, task.max_new_tokens,
+                            expected=task.targets, reuse=r2)
+        assert r1.keys() == r2.keys()
+
+    def test_shared_reuse_scores_each_task_as_a_fresh_call(self, tiny_model, tiny_letters):
         # two tasks on one reuse dict, their expected strings differing in
         # one byte and past a stop byte: each call scores as a fresh one
         rng = derive_rng(73)
@@ -161,16 +178,10 @@ class TestEvaluate:
         right = TaskSpec(TaskMode.EXACT_MATCH, prompts, [d + b"\x00a" for d in decoded], 3, 0.0)
         wrong = dataclasses.replace(right, expected=[d[:-1] + bytes([d[-1] % 255 + 1])
                                                      for d in decoded])
+        assert right.targets == list(decoded)
         reuse: dict = {}
-        last = None
         for task in (right, right, wrong, wrong, right):
-            seen = reuse.get("targets", (None, None))[1]
             assert evaluate(tiny_model, task, reuse) == evaluate(tiny_model, task)
-            assert reuse["targets"][0] is task.expected
-            # the same task again reuses its target list; another one cuts anew
-            assert (reuse["targets"][1] is seen) == (task is last)
-            last = task
-        assert reuse["targets"][1] == list(decoded)
         assert evaluate(tiny_model, right).accuracy == 1.0
         assert evaluate(tiny_model, wrong).accuracy == 0.0
 
