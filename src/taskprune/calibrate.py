@@ -206,10 +206,9 @@ def capture_calibration(
             inputs[site][:, lo:hi] = x.reshape(-1, x.shape[-1])[:hi - lo].T
     reuse["held"] = max(held, end)
     return ActivationCapture(
+        model=model,
         inputs={site: x[:, :min_tokens] for site, x in inputs.items()},
-        weights={site: model.site_weight(site) for site in inputs},
         tokens=min_tokens,
-        model_fingerprint=key[0],
         corpus_fingerprint=hashlib.sha256(bytes(tokens[:min_tokens])).hexdigest(),
     )
 
@@ -278,7 +277,7 @@ def build_cache(
     check_workers(workers)
     opts = opts or FactorizeOptions()
     model_fp = model_fingerprint(model)
-    if capture.model_fingerprint != model_fp:
+    if model_fingerprint(capture.model) != model_fp:
         raise CacheMismatchError("capture was recorded from a different model")
 
     site_list = sites(model.config)
@@ -524,8 +523,8 @@ def load_cache(path) -> AdapterCache:
                         fields.options, entries, flagged)
 
 
-def _capture_container(capture: ActivationCapture,
-                       config: TransformerConfig) -> tuple[int, dict, list[tuple[str, np.ndarray]]]:
+def _capture_container(capture: ActivationCapture) -> tuple[int, dict, list[tuple[str, np.ndarray]]]:
+    config = capture.model.config
     ordered = sites(config)
     manifest = [{"layer": s.layer, "kind": s.kind.value} for s in ordered]
     tensors = [(f"s{i}.x", capture.inputs[site]) for i, site in enumerate(ordered)]
@@ -533,17 +532,18 @@ def _capture_container(capture: ActivationCapture,
         "kind": "capture",
         "config": asdict(config),
         "tokens": capture.tokens,
-        "model_fingerprint": capture.model_fingerprint,
+        "model_fingerprint": model_fingerprint(capture.model),
         "corpus_fingerprint": capture.corpus_fingerprint,
         "sites": manifest,
     }
     return CAPTURE_VERSION, meta, tensors
 
 
-def save_capture(capture: ActivationCapture, config: TransformerConfig, path) -> None:
-    """Write the capture straight into its file: a 48k-token capture of the
-    4-layer model is over 500 MB, which a copy in memory would double."""
-    save_container(path, *_capture_container(capture, config))
+def save_capture(capture: ActivationCapture, path) -> None:
+    """Write the capture, with the config of its model, straight into its file: a
+    48k-token capture of the 4-layer model is over 500 MB, which a copy in memory
+    would double."""
+    save_container(path, *_capture_container(capture))
 
 
 @dataclass(frozen=True)
@@ -557,7 +557,7 @@ class CaptureMeta:
 
 
 def load_capture(path, model: ModelWeights) -> ActivationCapture:
-    """The capture at `path`, with the weights of `model`, which it was recorded from."""
+    """The capture at `path`, holding `model`, which it was recorded from."""
     meta, tensors, config = read_kind(path, CAPTURE_VERSION, "capture")
     try:
         fields = read_fields(CaptureMeta, meta)
@@ -574,5 +574,4 @@ def load_capture(path, model: ModelWeights) -> ActivationCapture:
         raise FormatError(f"bad capture metadata: {exc}") from exc
     if fields.model_fingerprint != model_fingerprint(model) or config != model.config:
         raise CacheMismatchError("capture was recorded from a different model")
-    return ActivationCapture(inputs, {site: model.site_weight(site) for site in inputs}, tokens,
-                             fields.model_fingerprint, fields.corpus_fingerprint)
+    return ActivationCapture(model, inputs, tokens, fields.corpus_fingerprint)

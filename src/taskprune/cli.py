@@ -110,7 +110,7 @@ def _factorize_opts(args) -> FactorizeOptions:
 def cmd_capture(args) -> int:
     model = load_model(args.model)
     capture = capture_calibration(model, _read_corpus(args.corpus), min_tokens=args.tokens)
-    save_capture(capture, model.config, args.out)
+    save_capture(capture, args.out)
     print(f"captured {capture.tokens} tokens over {len(capture.inputs)} sites -> {args.out}")
     return EXIT_OK
 
@@ -127,20 +127,23 @@ def cmd_cache(args) -> int:
 
 
 def _load_run_inputs(args):
+    """The model, task and cache (None without --cache) of search, eval and sweep,
+    each checked before any decode; --epsilon, where given, replaces the task's."""
     model = load_model(args.model)
-    cache = load_cache(args.cache)
     task = load_task(args.task)
-    if args.epsilon is not None:
+    if getattr(args, "epsilon", None) is not None:
         task = dataclasses.replace(task, epsilon=args.epsilon)
     check_prompts(model.config, task.prompts, task.max_new_tokens)
-    cache.check_model(model)
-    return model, cache, task
+    cache = load_cache(args.cache) if args.cache else None
+    if cache is not None:
+        cache.check_model(model)
+    return model, task, cache
 
 
 def cmd_search(args) -> int:
     cfg = (GaConfig(seed=args.seed, workers=args.workers, max_generations=args.max_generations)
            if args.mode == "ga" else None)
-    model, cache, task = _load_run_inputs(args)
+    model, task, cache = _load_run_inputs(args)
     os.makedirs(args.out, exist_ok=True)
     history_path = os.path.join(args.out, "history.jsonl")
 
@@ -168,15 +171,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    task = load_task(args.task)
-    check_prompts(model.config, task.prompts, task.max_new_tokens)
+    if args.pruning and not args.cache:
+        raise ValueError("--pruning requires --cache to assemble the pruned model")
+    model, task, cache = _load_run_inputs(args)
     target = model
     if args.pruning:
-        if not args.cache:
-            raise ValueError("--pruning requires --cache to assemble the pruned model")
-        vector = PruningVector.from_dict(read_json(args.pruning))
-        target = assemble(model, vector, load_cache(args.cache))
+        target = assemble(model, PruningVector.from_dict(read_json(args.pruning)), cache)
     result = evaluate(target, exact_match_task(model, task))
     correct = sum(result.verdicts)
     print(f"accuracy={result.accuracy:.4f} ({correct}/{len(result.verdicts)} prompts)")
@@ -201,12 +201,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("--kind uniform requires --cache")
     if args.kind == "calibration" and not (args.corpus and args.sizes):
         raise ValueError("--kind calibration requires --corpus and --sizes")
-    model = load_model(args.model)
-    task = load_task(args.task)
-    check_prompts(model.config, task.prompts, task.max_new_tokens)
+    model, task, cache = _load_run_inputs(args)
     if args.kind == "uniform":
-        cache = load_cache(args.cache)
-        cache.check_model(model)
         points = sweep_uniform(model, cache, task)
         write_sweep_csv(points, args.out)
         print(f"{len(points)} sweep points -> {args.out}")

@@ -186,13 +186,12 @@ class ModelWeights:
 
 @dataclass
 class ActivationCapture:
-    """Per-site calibration inputs x (d_in x T), tokens as columns, and the dense
-    site weights they were captured with; the outputs W x are not stored."""
+    """Per-site calibration inputs x (d_in x T), tokens as columns, of the model
+    they were recorded from; the outputs W x are not stored."""
 
+    model: ModelWeights
     inputs: dict[SiteId, Matrix]
-    weights: dict[SiteId, Matrix]
     tokens: int
-    model_fingerprint: str
     corpus_fingerprint: str
 
     @property
@@ -206,7 +205,8 @@ class _Pairs(Mapping):
         self.capture = capture
 
     def __getitem__(self, site: SiteId) -> tuple[Matrix, Matrix]:
-        return self.capture.inputs[site], self.capture.weights[site] @ self.capture.inputs[site]
+        x = self.capture.inputs[site]
+        return x, self.capture.model.site_weight(site) @ x
 
     def __iter__(self) -> Iterator[SiteId]:
         return iter(self.capture.inputs)
@@ -439,7 +439,8 @@ def forward(
     taps: set[SiteId] | frozenset[SiteId] | None = None,
 ) -> tuple[Matrix, ActivationCapture | None]:
     """Logits at every position of one sequence, and the capture of the tapped sites
-    (None without taps), with dense weights and fingerprints as capture_calibration's."""
+    (None without taps), which holds the dense model and the corpus fingerprint
+    as capture_calibration's does."""
     base: ModelWeights = getattr(model, "base", model)
     check_prompts(base.config, [tokens], 0)
     x, inputs = _transformer(model, np.asarray(tokens, dtype=np.int64).reshape(1, -1), taps)
@@ -447,9 +448,8 @@ def forward(
     if not taps:
         return logits, None
     inputs = {site: np.ascontiguousarray(rows[0].T) for site, rows in inputs.items()}
-    corpus_fp = hashlib.sha256(bytes(list(tokens))).hexdigest()
-    return logits, ActivationCapture(inputs, {s: base.site_weight(s) for s in inputs}, len(tokens),
-                                     model_fingerprint(base), corpus_fp)
+    return logits, ActivationCapture(base, inputs, len(tokens),
+                                     hashlib.sha256(bytes(list(tokens))).hexdigest())
 
 
 def greedy_decode_batch(model, prompts: Sequence[Sequence[int]], max_new: int,

@@ -193,11 +193,14 @@ def build_report(
     # the accounting needs only the shapes; perfbench/workloads.py passes
     # the ModelWeights, the CLI the TransformerConfig from run.json
     config = getattr(model, "config", model)
-    n_sites = len(sites(config))
+    n_sites, n_levels = len(sites(config)), len(vector.factor_set)
     for i, rec in enumerate(history or ()):
         if len(rec.genes) != n_sites:
             raise ValueError(f"history record {i} has {len(rec.genes)} genes, "
                              f"but the config has {n_sites} sites")
+        if not all(0 <= g < n_levels for g in rec.genes):
+            raise ValueError(f"history record {i} has a gene outside the {n_levels} "
+                             f"levels of the factor set")
     comp = compression_ratio(vector, config)       # first: it rejects a vector of another length
     per_site, per_layer, per_kind = retention_tables(vector, config)
     flops_dense = estimate_flops_per_token(config)

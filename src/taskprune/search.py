@@ -70,6 +70,10 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if not self.prompts:
             raise ValueError("task needs at least one prompt")
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in [0, 1)")
+        if self.max_new_tokens < 1:
+            raise ValueError("max_new_tokens must be >= 1")
         if self.mode is TaskMode.EXACT_MATCH:
             if self.expected is None or len(self.expected) != len(self.prompts):
                 raise ValueError("EXACT_MATCH needs one expected string per prompt")
@@ -80,10 +84,6 @@ class TaskSpec:
                         f"expected string {i} is longer than max_new_tokens "
                         f"({self.max_new_tokens}) and can never match"
                     )
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
 
     @functools.cached_property
     def targets(self) -> list[bytes]:

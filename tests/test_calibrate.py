@@ -95,11 +95,11 @@ class TestPruningVector:
 class TestCapture:
     def test_exact_token_count_and_shapes(self, tiny_model, tiny_capture):
         assert tiny_capture.tokens == 2500
+        assert tiny_capture.model is tiny_model
         assert set(tiny_capture.inputs) == set(sites(tiny_model.config))
         for site, x in tiny_capture.inputs.items():
             d_in, _ = site_dims(tiny_model.config, site)
             assert x.shape == (d_in, 2500)
-            assert tiny_capture.weights[site] is tiny_model.site_weight(site)
 
     def test_fidelity(self, tiny_model, tiny_capture):
         # the outputs are not stored: the pair view forms W x on access
@@ -150,19 +150,18 @@ class TestCapture:
             capture_calibration(tiny_model, b"abc", min_tokens=100)
 
     def test_fingerprints_recorded(self, tiny_model, tiny_capture):
-        assert tiny_capture.model_fingerprint == tp.model_fingerprint(tiny_model)
+        assert tp.model_fingerprint(tiny_capture.model) == tp.model_fingerprint(tiny_model)
         assert len(tiny_capture.corpus_fingerprint) == 64
 
     def test_capture_save_load(self, tiny_model, tiny_capture, tmp_path):
         path = tmp_path / "cap.siev"
-        save_capture(tiny_capture, tiny_model.config, path)
+        save_capture(tiny_capture, path)
         loaded = load_capture(path, tiny_model)
         assert loaded.tokens == tiny_capture.tokens
-        assert loaded.model_fingerprint == tiny_capture.model_fingerprint
+        assert loaded.model is tiny_model
         assert loaded.corpus_fingerprint == tiny_capture.corpus_fingerprint
         for site in sites(tiny_model.config):
             assert loaded.inputs[site].tobytes() == tiny_capture.inputs[site].tobytes()
-            assert loaded.weights[site] is tiny_model.site_weight(site)
         # x only: one tensor per site, and the file is refused for another model
         with open(path, "rb") as fh:
             _, _, tensors = read_container(fh)
@@ -170,9 +169,24 @@ class TestCapture:
         with pytest.raises(CacheMismatchError, match="different model"):
             load_capture(path, tp.random_model(tiny_model.config, seed=12))
 
+    def test_a_capture_holds_the_model_it_was_recorded_from(self, tiny_model, tiny_corpus,
+                                                           tmp_path):
+        capture = capture_calibration(tiny_model, tiny_corpus, min_tokens=100)
+        _, tapped = forward(tiny_model, list(tiny_corpus[:tiny_model.config.max_seq_len]),
+                            taps=frozenset(sites(tiny_model.config)))
+        first, again = tmp_path / "cap.siev", tmp_path / "again.siev"
+        save_capture(capture, first)
+        loaded = load_capture(first, tiny_model)
+        assert capture.model is tiny_model
+        assert tapped.model is tiny_model
+        assert loaded.model is tiny_model
+        # the file's config and model fingerprint are taken from the capture's model
+        save_capture(loaded, again)
+        assert first.read_bytes() == again.read_bytes()
+
     def test_capture_of_an_older_version_is_refused(self, tiny_model, tiny_capture, tmp_path):
         path = tmp_path / "cap.siev"
-        save_capture(tiny_capture, tiny_model.config, path)
+        save_capture(tiny_capture, path)
         raw = bytearray(path.read_bytes())
         raw[4:8] = (CAPTURE_VERSION - 1).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
@@ -184,7 +198,7 @@ class TestCapture:
         # "12" is the true count, which int() would accept
         capture = capture_calibration(tiny_model, tiny_corpus, min_tokens=12)
         path = tmp_path / "cap.siev"
-        save_capture(capture, tiny_model.config, path)
+        save_capture(capture, path)
         edit_metadata(path, lambda meta: meta.update(tokens="12"))
         with pytest.raises(tp.model.FormatError, match="CaptureMeta.tokens: expected int, found str"):
             load_capture(path, tiny_model)
@@ -194,13 +208,13 @@ class TestCapture:
         partial = dataclasses.replace(tiny_capture, inputs={
             site: x for site, x in tiny_capture.inputs.items() if site != last})
         with pytest.raises(KeyError):
-            save_capture(partial, tiny_model.config, tmp_path / "cap.siev")
+            save_capture(partial, tmp_path / "cap.siev")
         assert os.listdir(tmp_path) == []
 
 
 def assert_same_capture(capture, fresh) -> None:
     assert capture.tokens == fresh.tokens
-    assert capture.model_fingerprint == fresh.model_fingerprint
+    assert capture.model is fresh.model
     assert capture.corpus_fingerprint == fresh.corpus_fingerprint
     assert capture.inputs.keys() == fresh.inputs.keys()
     for site, want in fresh.inputs.items():
@@ -394,8 +408,8 @@ class TestBuildCache:
         tokens = derive_rng(74).integers(1, 64, size=tiny_model.config.max_seq_len).tolist()
         _, cap = forward(tiny_model, tokens, taps=frozenset(sites(tiny_model.config)))
         ref = capture_calibration(tiny_model, tokens, min_tokens=len(tokens))
-        assert (cap.model_fingerprint, cap.corpus_fingerprint) == (ref.model_fingerprint,
-                                                                   ref.corpus_fingerprint)
+        assert cap.model is ref.model is tiny_model
+        assert cap.corpus_fingerprint == ref.corpus_fingerprint
         other = tp.random_model(tiny_model.config, seed=999)
         with pytest.raises(CacheMismatchError):
             build_cache(other, cap, FactorSet((1.0, 0.5)))

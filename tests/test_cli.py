@@ -360,13 +360,20 @@ class TestErrorPaths:
 
     def test_history_of_another_site_count_exits_3_before_writing(self, workdir, tmp_path,
                                                                  capsys):
+        # a record of 3 genes, and a record of 8 genes outside the 10 levels
         shutil.copytree(workdir / "run_ga", tmp_path / "run")
-        search.write_history([search.EvalRecord(0, (1, 2, 3), 1.0, 0.5, 2.0)],
-                             tmp_path / "run" / "history.jsonl")
-        code = run(["report", "--run", tmp_path / "run", "--out", tmp_path / "report"])
-        assert code == 3
-        assert "history record 0 has 3 genes, but the config has 8 sites" in capsys.readouterr().err
-        assert not (tmp_path / "report").exists()
+        path = tmp_path / "run" / "history.jsonl"
+        out_of_range = search.read_history(path)
+        out_of_range[1] = dataclasses.replace(out_of_range[1], genes=(99,) * 8)
+        for records, message in [
+                ([search.EvalRecord(0, (1, 2, 3), 1.0, 0.5, 2.0)],
+                 "history record 0 has 3 genes, but the config has 8 sites"),
+                (out_of_range, "history record 1 has a gene outside the 10 levels of the factor set")]:
+            search.write_history(records, path)
+            code = run(["report", "--run", tmp_path / "run", "--out", tmp_path / "report"])
+            assert code == 3
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("command, option, message", [
         ("search", ["--seed", "-1"], "seed must be >= 0"),
@@ -465,16 +472,22 @@ class TestErrorPaths:
 
     def test_cache_of_another_model_exits_3_before_decoding(
             self, workdir, tmp_path, monkeypatch, capsys):
+        # an unpruned eval and a calibration sweep do not read the cache,
+        # which is checked all the same
         cfg = tp.load_model(workdir / "model.siev").config
         tp.save_model(tp.random_model(cfg, seed=53, spectral_decay=0.6), tmp_path / "other.siev")
         monkeypatch.setattr(search, "greedy_decode_batch", no_decode)
-        code = run(["search", "--mode", "ga",
-                    "--model", tmp_path / "other.siev",
-                    "--cache", workdir / "cache.siev",
-                    "--task", workdir / "task.json",
-                    "--out", tmp_path / "run"])
-        assert code == 3
-        assert "cache was built for a different model" in capsys.readouterr().err
+        for command in [["search", "--mode", "ga", "--out", tmp_path / "run"],
+                        ["eval"],
+                        ["sweep", "--kind", "calibration", "--corpus", workdir / "corpus.bin",
+                         "--sizes", "100", "--out", tmp_path / "sweep.csv"]]:
+            code = run([*command,
+                        "--model", tmp_path / "other.siev",
+                        "--cache", workdir / "cache.siev",
+                        "--task", workdir / "task.json"])
+            assert code == 3
+            assert "cache was built for a different model" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["other.siev"]
 
     # values that int() or truth would take: "no" is true, row 7 has rank 1
     # (layer0.qkv at level 0.1), which int(True) equals, and 2400 is the
@@ -512,7 +525,7 @@ class TestErrorPaths:
         if defect == "short_x":
             capture.inputs[last] = capture.inputs[last][:, :100]
         cap = tmp_path / "cap.siev"
-        tp.save_capture(capture, model.config, cap)
+        tp.save_capture(capture, cap)
         if defect == "other_model":
             rewrite_metadata(cap, cap, lambda meta: meta.update(model_fingerprint="0" * 64))
         if defect == "missing_site":

@@ -160,10 +160,10 @@ class TestForward:
         tokens = rng.integers(0, 256, size=12).tolist()
         tap_set = frozenset(sites(tiny_model.config))
         _, cap = forward(tiny_model, tokens, taps=tap_set)
+        assert cap.model is tiny_model
         assert set(cap.inputs) == set(tap_set)
         for site, x in cap.inputs.items():
             assert x.shape == (site_dims(tiny_model.config, site)[0], len(tokens))
-            assert cap.weights[site] is tiny_model.site_weight(site)
 
     def test_products_depend_only_on_the_rows(self, tiny_model, tiny_cache):
         # numpy runs a stacked matmul as one product per batch row, whose bits
@@ -841,7 +841,7 @@ def test_a_million_claimed_layers_are_rejected_before_any_per_layer_work(
     path = tmp_path / f"{kind}.siev"
     {"model": lambda: tp.save_model(tiny_model, path),
      "cache": lambda: tp.save_cache(tiny_cache, path),
-     "capture": lambda: tp.save_capture(tiny_capture, tiny_model.config, path)}[kind]()
+     "capture": lambda: tp.save_capture(tiny_capture, path)}[kind]()
     path.write_bytes(_rewrite_meta(path.read_bytes(),
                                    lambda meta: meta["config"].update(n_layers=claimed)))
 

@@ -63,6 +63,11 @@ class TestTaskSpec:
             TaskSpec(TaskMode.BASELINE_AGREEMENT, [b"a"], None, 4, 1.0)
         with pytest.raises(ValueError):
             TaskSpec(TaskMode.BASELINE_AGREEMENT, [b"a"], None, 0, 0.1)
+        # each is named ahead of the expected-string check, which these inputs also fail
+        with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
+            TaskSpec(TaskMode.EXACT_MATCH, [b"ab"], [b"x"], max_new_tokens=0, epsilon=0.1)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+            TaskSpec(TaskMode.EXACT_MATCH, [b"ab"], [b"xyz"], max_new_tokens=1, epsilon=1.0)
 
     def test_expected_longer_than_max_new_rejected(self):
         with pytest.raises(ValueError, match="can never match"):
