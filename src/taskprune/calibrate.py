@@ -13,7 +13,7 @@ import hashlib
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -29,7 +29,7 @@ from .factorize import (
     factorize_output_aligned,  # noqa: F401 - perfbench/spans.py traces it under this module
     rank_for_factor,
 )
-from .linalg import Matrix, derive_rng
+from .linalg import Matrix
 from .model import (
     CACHE_VERSION,
     CAPTURE_VERSION,
@@ -253,11 +253,6 @@ class AdapterCache:
         return hashlib.sha256(cache_to_bytes(self)).hexdigest()
 
 
-def _entry_seed(base_seed: int, site: SiteId, factor_index: int) -> int:
-    return int(derive_rng(base_seed, site.layer, KIND_ORDER.index(site.kind), factor_index)
-               .integers(0, 2 ** 63 - 1))
-
-
 def build_cache(
     model: ModelWeights,
     capture: ActivationCapture,
@@ -269,10 +264,10 @@ def build_cache(
 
     One job per site, run on `workers` threads: the site's SVD and error
     statistics are computed once (OutputAlignedSite) and shared by all its
-    levels. Each entry gets its own seed derived from (opts.seed, site,
-    level), so the result is bit-identical regardless of worker count or
-    scheduling. A diverged entry is flagged and kept dense; a site whose
-    calibration outputs are all zero has every level flagged and kept dense.
+    levels. A fit reads nothing random and nothing of another site, so the
+    result is bit-identical regardless of worker count or scheduling. A
+    diverged entry is flagged and kept dense; a site whose calibration
+    outputs are all zero has every level flagged and kept dense.
     """
     check_workers(workers)
     opts = opts or FactorizeOptions()
@@ -296,9 +291,8 @@ def build_cache(
         out = []
         for fi in levels:
             rank, _ = rank_for_factor(factor_set[fi], d_in, d_out)
-            entry_opts = replace(opts, seed=_entry_seed(opts.seed, site, fi))
             try:
-                out.append((fi, fit.fit(rank, entry_opts), None))
+                out.append((fi, fit.fit(rank, opts), None))
             except FactorizationDiverged as exc:
                 log.warning("factorization diverged for %s at level %.2f; keeping dense",
                             site, factor_set[fi])

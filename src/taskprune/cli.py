@@ -103,7 +103,6 @@ def _factorize_opts(args) -> FactorizeOptions:
         epochs=args.epochs,
         batch_tokens=args.batch,
         learning_rate=args.lr,
-        seed=args.seed,
     )
 
 
@@ -223,7 +222,6 @@ def _add_factorize_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=defaults.epochs)
     p.add_argument("--batch", type=int, default=defaults.batch_tokens)
     p.add_argument("--lr", type=float, default=defaults.learning_rate)
-    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--workers", type=int, default=None)
 
 

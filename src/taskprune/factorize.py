@@ -26,14 +26,13 @@ _GRAM_NORM_RTOL of it, as for a near-exact fit, is a norm taken from the
 full data, a block of columns at a time. The closed form is the best
 rank-R approximation of W G^(1/2) mapped back through its pseudo-inverse:
 reduced-rank regression (Izenman 1975), which is SVD-LLM's truncation-aware
-whitening (Wang et al., arXiv:2403.07378). No method forms Y: a gradient
-step needs only its batch's Gram x x^T.
+whitening (Wang et al., arXiv:2403.07378). No method forms Y, and a
+gradient step reads G alone: ((b c - W) G) c^T and b^T ((b c - W) G).
 
-A gradient step gathers its token batch as rows of a token-major copy of
-X, made once per site, and updates b and c together: they are views into
-one packed buffer with one Adam state (Kingma & Ba, arXiv:1412.6980), one
-update per step as in multi-tensor Adam. Adam is elementwise, so the
-packed update has the bits of one update per factor.
+A gradient step updates b and c together: they are views into one packed
+buffer with one Adam state (Kingma & Ba, arXiv:1412.6980), one update per
+step as in multi-tensor Adam. Adam is elementwise, so the packed update
+has the bits of one update per factor.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .linalg import (
     Matrix,
     SvdResult,
     adam_step,
-    derive_rng,
     frobenius_rel_error,  # noqa: F401 - perfbench/spans.py traces it under this module
     truncated_svd,
 )
@@ -86,6 +84,9 @@ class FactorizationDiverged(RuntimeError):
 
 @dataclass
 class FactorizeOptions:
+    # `fit` takes epochs * ceil(T / batch_tokens) full-Gram steps for T
+    # calibration tokens: these two fields set the step count alone. `seed`
+    # is recorded in the cache but read by nothing.
     epochs: int = 2
     batch_tokens: int = 5000
     learning_rate: float = 0.001
@@ -159,12 +160,13 @@ def factorize_svd_w(w: Matrix, rank: int, x_cal: Matrix) -> FactorizedMatrix:
     return OutputAlignedSite(w, x_cal).svd_w(rank)
 
 
-def reconstruction_gradients(b: Matrix, c: Matrix, w: Matrix, x: Matrix) -> tuple[Matrix, Matrix]:
-    """Gradients of L(b,c) = 0.5 * ||W x - b c x||_F^2 w.r.t. b and c: with
-    D = b c - W and the batch Gram G = x x^T, (D G) c^T and b^T (D G)."""
+def reconstruction_gradients(b: Matrix, c: Matrix, w: Matrix,
+                             gram: Matrix) -> tuple[Matrix, Matrix]:
+    """Gradients of L(b,c) = 0.5 * ||W X - b c X||_F^2 w.r.t. b and c from
+    the Gram G = X X^T alone: with D = b c - W, (D G) c^T and b^T (D G)."""
     d = b @ c
     d -= w
-    dg = d @ (x @ x.T)
+    dg = d @ gram
     return dg @ c.T, b.T @ dg
 
 
@@ -172,11 +174,11 @@ class OutputAlignedSite:
     """Every factorization method of one weight, at any number of ranks.
 
     Construction does the rank-independent work once: the Gram X X^T, the
-    output norm ||W X||, the full SVD of W, sliced per rank for svd_w and
-    GD's initialization, the Gram's eigendecomposition behind pca_x and the
-    closed form, and a token-major copy of X for the batch gathers. It never
-    forms W X; errors come from the Gram (`_gram_sq`), and norms from X only
-    where rounding could spoil that (`_norm`). Raises DegenerateSiteError on
+    token count T, the output norm ||W X||, the full SVD of W, sliced per
+    rank for svd_w and GD's initialization, and the Gram's eigendecomposition
+    behind pca_x and the closed form. It never forms W X; gradients and
+    errors come from the Gram (`_gram_sq`), and norms from X only where
+    rounding could spoil that (`_norm`). Raises DegenerateSiteError on
     zero-norm outputs.
     """
 
@@ -185,11 +187,10 @@ class OutputAlignedSite:
             raise ValueError(f"inputs {x_cal.shape} do not match the weight shape {w.shape}")
         self.w, self.x_cal = w, x_cal
         self.gram = x_cal @ x_cal.T
+        self.n_tokens = x_cal.shape[1]
         self.y_norm = self._norm(w)
         if self.y_norm == 0.0:
             raise DegenerateSiteError("calibration outputs have zero norm")
-        # token-major copy: a batch is then a gather of contiguous rows
-        self.xt = np.ascontiguousarray(x_cal.T)
         self.svd = truncated_svd(w, min(w.shape))
         # X X^T is singular for layer-norm-fed sites, which rules out
         # Cholesky; rounding can leave its zero eigenvalues slightly negative
@@ -224,15 +225,14 @@ class OutputAlignedSite:
     def fit(self, rank: int, opts: FactorizeOptions | None = None) -> FactorizedMatrix:
         """Learn (b, c) of one rank by Adam on the output reconstruction error.
 
-        Starts from the svd_w factors, runs `opts.epochs` passes over
-        shuffled token batches of `opts.batch_tokens` columns, and keeps the
-        iterate of lowest `error`, taken after every batch. A batch is a
-        gather of rows of the token-major copy of X, and b and c live in one
-        packed buffer that one `adam_step` per batch updates. The returned
-        calib_error (`_norm`) is the chosen iterate's `error` bit for bit
-        unless rounding sends `_norm` to the full data. No early stopping; a
-        non-finite loss (which any non-finite entry of b or c makes) raises
-        FactorizationDiverged carrying the best finite iterate.
+        Starts from the svd_w factors, takes opts.epochs * ceil(T /
+        opts.batch_tokens) steps on the gradient from the site's Gram, and
+        keeps the iterate of lowest `error`, taken after every step. b and c
+        live in one packed buffer that one `adam_step` per step updates. The
+        returned calib_error (`_norm`) is the chosen iterate's `error` bit
+        for bit unless rounding sends `_norm` to the full data. No early
+        stopping; a non-finite loss (which any non-finite entry of b or c
+        makes) raises FactorizationDiverged carrying the best finite iterate.
         """
         opts = opts or FactorizeOptions()
         self._check_rank(rank)
@@ -250,25 +250,19 @@ class OutputAlignedSite:
         best = params.copy()
 
         state = AdamState(lr=opts.learning_rate)
-        rng = derive_rng(opts.seed)
-        xt = self.xt
-        n_tokens = xt.shape[0]
+        n_steps = opts.epochs * -(-self.n_tokens // opts.batch_tokens)
 
         # a non-finite loss is an explicitly handled signal, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(opts.epochs):
-                perm = rng.permutation(n_tokens)
-                for start in range(0, n_tokens, opts.batch_tokens):
-                    idx = perm[start:start + opts.batch_tokens]
-                    grad_b[...], grad_c[...] = reconstruction_gradients(
-                        b, c, self.w, xt[idx].T)
-                    adam_step(params, grads, state)
-                    err = self.error(b, c)
-                    if not math.isfinite(err):
-                        raise FactorizationDiverged(self._result(*split(best), rank))
-                    if err < best_err:
-                        best_err = err
-                        best[...] = params
+            for _ in range(n_steps):
+                grad_b[...], grad_c[...] = reconstruction_gradients(b, c, self.w, self.gram)
+                adam_step(params, grads, state)
+                err = self.error(b, c)
+                if not math.isfinite(err):
+                    raise FactorizationDiverged(self._result(*split(best), rank))
+                if err < best_err:
+                    best_err = err
+                    best[...] = params
 
         return self._result(*split(best), rank)
 

@@ -113,7 +113,7 @@ def test_criterion_03_gradient_correctness():
         c = rng.normal(size=(3, 6))
         w = rng.normal(size=(6, 6))
         x = rng.normal(size=(6, 6))
-        gb, gc = reconstruction_gradients(b, c, w, x)
+        gb, gc = reconstruction_gradients(b, c, w, x @ x.T)
 
         def loss():
             r = w @ x - b @ c @ x

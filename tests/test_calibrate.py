@@ -24,7 +24,6 @@ from taskprune.calibrate import (
     assemble,
     build_cache,
     cache_to_bytes,
-    _entry_seed,
     capture_calibration,
     compression_ratio,
     estimate_flops_per_token,
@@ -391,13 +390,24 @@ class TestBuildCache:
         assert len(one) == 16 and one.keys() == two.keys()
         assert [key for key in one if one[key] != two[key]] == []
 
-    def test_seed_changes_fingerprint(self, tiny_model, tiny_capture):
+    def test_seed_changes_the_recorded_options_and_no_entry(self, tiny_model, tiny_capture):
         fset = FactorSet((1.0, 0.5))
         a = build_cache(tiny_model, tiny_capture, fset,
                         FactorizeOptions(epochs=2, batch_tokens=500, seed=1))
         b = build_cache(tiny_model, tiny_capture, fset,
                         FactorizeOptions(epochs=2, batch_tokens=500, seed=2))
+        # the bytes differ in the options they record, and in nothing the fit wrote
         assert a.fingerprint() != b.fingerprint()
+        recorded = [read_container(io.BytesIO(cache_to_bytes(cache)),
+                                   expected_version=CACHE_VERSION)[1]["options"]
+                    for cache in (a, b)]
+        assert [opts["seed"] for opts in recorded] == [1, 2]
+        assert a.entries.keys() == b.entries.keys()
+        for key, fm in a.entries.items():
+            if fm is not None:
+                assert np.array_equal(fm.b, b.entries[key].b)
+                assert np.array_equal(fm.c, b.entries[key].c)
+                assert fm.calib_error == b.entries[key].calib_error
 
     def test_wrong_model_rejected(self, tiny_capture, tiny_model):
         other = tp.random_model(tiny_model.config, seed=999)
@@ -472,8 +482,7 @@ class TestBuildCache:
             d_in, d_out = site_dims(tiny_model.config, site)
             for fi in range(1, len(fset)):
                 rank, _ = rank_for_factor(fset[fi], d_in, d_out)
-                entry_opts = dataclasses.replace(opts, seed=_entry_seed(opts.seed, site, fi))
-                alone = factorize_output_aligned(w, x, rank, entry_opts)
+                alone = factorize_output_aligned(w, x, rank, opts)
                 built = cache.entry(site, fi)
                 assert np.array_equal(built.b, alone.b)
                 assert np.array_equal(built.c, alone.c)

@@ -75,7 +75,7 @@ class TestPipeline:
                     "--capture", workdir / "cap.siev",
                     "--out", workdir / "cache.siev",
                     "--epochs", "4", "--batch", "600", "--lr", "0.003",
-                    "--seed", "1", "--workers", "4"])
+                    "--workers", "4"])
         assert code == 0
         cache = tp.load_cache(workdir / "cache.siev")
         assert cache.built_entries() == 72
@@ -380,14 +380,11 @@ class TestErrorPaths:
         ("search", ["--max-generations", "0"], "max_generations must be >= 1"),
         ("search", ["--workers", "0"], "workers must be >= 1"),
         ("search", ["--workers", "-3"], "workers must be >= 1"),
-        ("cache", ["--seed", "-1"], "seed must be >= 0"),
         ("cache", ["--workers", "0"], "workers must be >= 1"),
         ("cache", ["--workers", "-3"], "workers must be >= 1"),
-        ("sweep", ["--seed", "-1"], "seed must be >= 0"),
         ("sweep", ["--workers", "0"], "workers must be >= 1"),
     ], ids=["search_seed", "search_max_generations", "search_workers_0", "search_workers_negative",
-            "cache_seed", "cache_workers_0", "cache_workers_negative", "sweep_seed",
-            "sweep_workers_0"])
+            "cache_workers_0", "cache_workers_negative", "sweep_workers_0"])
     def test_bad_seed_or_stop_rule_exits_3_before_any_work(
             self, workdir, tmp_path, monkeypatch, capsys, command, option, message):
         inputs = {"search": ["search", "--mode", "ga", "--model", workdir / "model.siev",
